@@ -12,7 +12,9 @@
 #include <array>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string_view>
+#include <vector>
 
 #include "api/experiment.h"
 #include "bench_util.h"
@@ -252,13 +254,12 @@ void BM_RunTrials(benchmark::State& state) {
 BENCHMARK(BM_RunTrials)->Arg(1)->Arg(0);  // 0 = hardware_concurrency
 
 // ------------------------------------------------------------------------
-// SoA scaling curve (--scaling): epoch cost of the structure-of-arrays
-// core vs the object core at 10k / 100k / 1M sensors, constant deployment
-// density (the paper's 600-in-20x20), synopsis diffusion over a Count
-// query at 20% loss. The object core stops at 100k -- the point of the
-// curve is that the SoA core keeps going. Each arm runs twice from a
-// fresh experiment to pin per-n determinism, and at the sizes both cores
-// run, their per-epoch answers and byte tallies must agree exactly.
+// Scaling curve (--scaling): epoch cost at 10k / 100k / 1M sensors,
+// constant deployment density (the paper's 600-in-20x20), synopsis
+// diffusion over a Count query at 20% loss. Each size runs twice from a
+// fresh experiment to pin per-n determinism, and at 10k and 100k the
+// per-epoch answers and byte total must equal the recording below
+// exactly.
 
 struct ScalingRun {
   double epoch_ms = 0.0;
@@ -266,13 +267,19 @@ struct ScalingRun {
   uint64_t bytes = 0;          // total radio bytes after the run
 };
 
-ScalingRun RunScalingOnce(const Scenario& sc, EngineCore core,
-                          uint32_t timed_epochs) {
+// Per-timed-epoch estimates and total radio bytes recorded from the
+// original per-node-object engines (the same runs as RunScalingOnce), which
+// the structure-of-arrays core replaced bit for bit.
+struct ScalingRecording {
+  std::vector<double> values;
+  uint64_t bytes = 0;
+};
+
+ScalingRun RunScalingOnce(const Scenario& sc, uint32_t timed_epochs) {
   Experiment exp = Experiment::Builder()
                        .Scenario(&sc)
                        .Aggregate(AggregateKind::kCount)
                        .Strategy(Strategy::kSynopsisDiffusion)
-                       .Core(core)
                        .GlobalLossRate(0.2)
                        .NetworkSeed(1)
                        .Epochs(1)  // stepped manually below
@@ -295,21 +302,27 @@ void AppendScalingJson(bench::BenchJson* json) {
     const char* tag;
     size_t n;
     uint32_t epochs;
-    bool object_too;
+    std::optional<ScalingRecording> recorded;
   };
   // Timed epochs shrink with n so the curve stays inside the CI budget.
-  const Spec specs[] = {{"10k", 10'000, 4, true},
-                        {"100k", 100'000, 2, true},
-                        {"1m", 1'000'000, 1, false}};
-  std::printf("\nSoA scaling curve (synopsis diffusion, Count, 20%% loss)\n");
+  const Spec specs[] = {
+      {"10k", 10'000, 4,
+       ScalingRecording{{0x1.b3c5fbdeb6afcp+12, 0x1.e3856045599c2p+12,
+                         0x1.ebf90ae2b2092p+12, 0x1.fd527f2506c39p+12},
+                        2455886}},
+      {"100k", 100'000, 2,
+       ScalingRecording{{0x1.07a4581cca04bp+16, 0x1.bb6423f03a62p+15},
+                        16561633}},
+      {"1m", 1'000'000, 1, std::nullopt}};
+  std::printf("\nScaling curve (synopsis diffusion, Count, 20%% loss)\n");
   for (const Spec& spec : specs) {
     // Constant density: scale the paper's 600-in-20x20 field with n.
     const double width =
         20.0 * std::sqrt(static_cast<double>(spec.n) / 600.0);
     Scenario sc = MakeSyntheticScenario(7, spec.n, width, width, 3.0);
 
-    ScalingRun soa = RunScalingOnce(sc, EngineCore::kSoa, spec.epochs);
-    ScalingRun soa2 = RunScalingOnce(sc, EngineCore::kSoa, spec.epochs);
+    ScalingRun soa = RunScalingOnce(sc, spec.epochs);
+    ScalingRun soa2 = RunScalingOnce(sc, spec.epochs);
     const bool deterministic =
         soa.values == soa2.values && soa.bytes == soa2.bytes;
     json->Entry()
@@ -319,21 +332,16 @@ void AppendScalingJson(bench::BenchJson* json) {
         .Field("metric",
                std::string("scaling_soa_deterministic_") + spec.tag)
         .Field("value", deterministic ? 1.0 : 0.0);
-    std::printf("  n=%-5s soa %10.2f ms/epoch  deterministic=%d", spec.tag,
+    std::printf("  n=%-5s %10.2f ms/epoch  deterministic=%d", spec.tag,
                 soa.epoch_ms, deterministic ? 1 : 0);
 
-    if (spec.object_too) {
-      ScalingRun obj = RunScalingOnce(sc, EngineCore::kObject, spec.epochs);
-      const bool match =
-          obj.values == soa.values && obj.bytes == soa.bytes;
-      json->Entry()
-          .Field("metric", std::string("scaling_obj_epoch_ms_") + spec.tag)
-          .Field("value", obj.epoch_ms);
+    if (spec.recorded) {
+      const bool match = soa.values == spec.recorded->values &&
+                         soa.bytes == spec.recorded->bytes;
       json->Entry()
           .Field("metric", std::string("scaling_match_") + spec.tag)
           .Field("value", match ? 1.0 : 0.0);
-      std::printf("  obj %10.2f ms/epoch  match=%d  (%.2fx)", obj.epoch_ms,
-                  match ? 1 : 0, obj.epoch_ms / soa.epoch_ms);
+      std::printf("  matches recording=%d", match ? 1 : 0);
     }
     std::printf("\n");
   }
@@ -508,9 +516,8 @@ int main(int argc, char** argv) {
   // should pay for (and overwrite) the BENCH_micro.json trajectory pass.
   // --json_only skips google-benchmark entirely and just writes the
   // chrono-timed BENCH_micro.json (the CI regression-gate pass).
-  // --scaling additionally runs the 10k/100k/1M SoA-vs-object curve and
-  // emits its scaling_* rows into the same json (check_bench --scaling
-  // gates them).
+  // --scaling additionally runs the 10k/100k/1M epoch curve and emits its
+  // scaling_* rows into the same json (check_bench --scaling gates them).
   // --telemetry additionally measures the flight-recorder cost and
   // bit-identity flags (check_bench --telemetry gates them).
   bool filtered = false;

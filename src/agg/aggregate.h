@@ -10,8 +10,8 @@
 //      into a synopsis the multi-path scheme equates with the same inputs,
 //      so a multi-path node can consume tributary outputs obliviously.
 //
-// Engines (TreeAggregator, MultipathAggregator, TributaryDeltaAggregator)
-// are templated over this concept.
+// The engines (src/core/: SoaTreeAggregator, SoaMultipathAggregator,
+// SoaTributaryDeltaAggregator) are templated over this concept.
 #ifndef TD_AGG_AGGREGATE_H_
 #define TD_AGG_AGGREGATE_H_
 

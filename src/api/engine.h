@@ -1,11 +1,12 @@
 // The type-erased aggregation engine: one runtime interface over the three
-// class templates (TreeAggregator, MultipathAggregator,
-// TributaryDeltaAggregator) so benches, examples and sweeps can select a
-// Strategy by value without re-wiring template plumbing per scheme.
+// engine templates of the structure-of-arrays core (src/core/:
+// SoaTreeAggregator, SoaMultipathAggregator, SoaTributaryDeltaAggregator)
+// so benches, examples and sweeps can select a Strategy by value without
+// re-wiring template plumbing per scheme.
 //
-// The concrete impls wrap the existing engines without touching their hot
-// loops; type erasure costs one virtual dispatch per epoch (thousands of
-// message simulations), which is noise. Results come back as EpochResult, a
+// The concrete impls wrap the engines without touching their hot loops;
+// type erasure costs one virtual dispatch per epoch (thousands of message
+// simulations), which is noise. Results come back as EpochResult, a
 // strategy- and aggregate-agnostic currency: numeric aggregates fill
 // `value`, frequent items additionally fill `freq`.
 #ifndef TD_API_ENGINE_H_
@@ -17,9 +18,7 @@
 
 #include "agg/aggregate.h"
 #include "agg/epoch_outcome.h"
-#include "agg/multipath_aggregator.h"
 #include "agg/query_set.h"
-#include "agg/tree_aggregator.h"
 #include "api/strategy.h"
 #include "core/soa_multipath.h"
 #include "core/soa_td.h"
@@ -27,7 +26,6 @@
 #include "freq/freq_aggregate.h"
 #include "net/network.h"
 #include "td/adaptation.h"
-#include "td/tributary_delta_aggregator.h"
 #include "util/check.h"
 #include "workload/scenario.h"
 
@@ -116,14 +114,14 @@ struct EngineOptions {
   /// Seed for the piggybacked contributing-count sketch.
   uint64_t contrib_seed = 0x510c;
 
-  /// See TributaryDeltaAggregator::Options::sensor_population.
+  /// See SoaTributaryDeltaAggregator::Options::sensor_population.
   size_t sensor_population = 0;
 
   /// Capture the base station's root aggregate state every epoch (see
   /// Engine::root_state). This is the facade-level switch behind
-  /// Experiment::Builder::CaptureRootState; MakeEngine enables capture on
-  /// the freshly built engine so consumers (src/window/, src/fed/) never
-  /// reach into engine internals.
+  /// Experiment::Builder::CaptureRootState; the engine enables capture at
+  /// construction so consumers (src/window/, src/fed/) never reach into
+  /// engine internals.
   bool capture_root_state = false;
 };
 
@@ -151,42 +149,31 @@ class Engine {
   virtual Strategy strategy() const = 0;
   virtual Network& network() const = 0;
 
-  /// Which engine core executes the strategy (the Builder::Core axis).
-  virtual EngineCore core() const { return EngineCore::kObject; }
-
   /// Cumulative count of nodes whose self synopsis/partial was recomputed
-  /// rather than replayed from the epoch-delta cache. Always 0 for the
-  /// object core, which has no incremental path; for the SoA core it grows
-  /// by at most one per in-sweep node per epoch.
-  virtual uint64_t nodes_reprocessed() const { return 0; }
+  /// rather than replayed from the epoch-delta cache; grows by at most one
+  /// per in-sweep node per epoch.
+  virtual uint64_t nodes_reprocessed() const = 0;
 
   /// Notification that the scenario's tree and rings were repaired in
-  /// place (dynamic scenarios, after churn). Tree and multipath engines
-  /// re-read the topology every epoch and need no reaction; adaptive
-  /// engines re-derive their cached tree state and resync the region.
+  /// place (dynamic scenarios, after churn). Engines drop their cached
+  /// schedules and CSR adjacency; adaptive engines also re-derive their
+  /// cached tree state and resync the region.
   virtual void OnTopologyChanged() {}
 
-  /// Enables per-epoch capture of the base station's root aggregate state.
+  /// The captured root state of the last RunEpoch, when
+  /// EngineOptions::capture_root_state (Experiment::Builder::
+  /// CaptureRootState) was set at construction. Capture is off by default:
+  /// the tree-engine capture copies the root partial once per epoch, so
+  /// only consumers pay. Two consumers exist: windowed aggregation
+  /// (src/window/ re-merges the state across epochs) and the federation
+  /// tier (fed/Coordinator merges the states of many gateway engines into
+  /// global answers -- see DESIGN.md "Hierarchical federation"). Both ride
+  /// the state the base station already holds, so neither adds radio bytes.
   ///
-  /// DEPRECATED as a direct call: set EngineOptions::capture_root_state (or
-  /// Experiment::Builder::CaptureRootState) instead, which MakeEngine
-  /// applies at construction; this method remains as a thin shim with
-  /// identical behavior and will eventually go away.
-  ///
-  /// Off by default: the tree-engine capture copies the root partial once
-  /// per epoch, so only consumers pay. Two consumers exist: windowed
-  /// aggregation (src/window/ re-merges the state across epochs) and the
-  /// federation tier (fed/Coordinator merges the states of many gateway
-  /// engines into global answers -- see DESIGN.md "Hierarchical
-  /// federation"). Both ride the state the base station already holds, so
-  /// neither adds radio bytes.
-  virtual void EnableRootCapture() {}
-
-  /// The captured root state of the last RunEpoch; all-null before the
-  /// first captured epoch or when capture is disabled. Which sides are
-  /// populated is a strategy property (RootStateSides): tree partial for
-  /// tree strategies, fused synopsis for synopsis diffusion, both for
-  /// Tributary-Delta. The pointers alias engine-owned scratch valid until
+  /// All-null before the first captured epoch or when capture is
+  /// disabled. Which sides are populated is a strategy property
+  /// (RootStateSides): tree partial for tree strategies, fused synopsis
+  /// for synopsis diffusion, both for Tributary-Delta. The pointers alias engine-owned scratch valid until
   /// the next RunEpoch; a root state excludes any base-station
   /// self-contribution, so cross-engine merging never double-counts.
   virtual RootState root_state() const { return {}; }
@@ -230,122 +217,10 @@ EpochResult ToEpochResult(uint32_t epoch, const Outcome& o) {
   return r;
 }
 
-template <Aggregate A>
-class TreeEngine final : public Engine {
- public:
-  TreeEngine(const Scenario* sc, std::shared_ptr<Network> network,
-             const A* aggregate, Strategy strategy,
-             const EngineOptions& options)
-      : network_(std::move(network)),
-        strategy_(strategy),
-        inner_(&sc->tree, network_.get(), aggregate,
-               typename TreeAggregator<A>::Options{
-                   .extra_retransmissions =
-                       options.tree_extra_retransmissions >= 0
-                           ? options.tree_extra_retransmissions
-                           : (strategy == Strategy::kTagRetx ? 2 : 0)}) {}
-
-  EpochResult RunEpoch(uint32_t epoch) override {
-    return ToEpochResult(epoch, inner_.RunEpoch(epoch));
-  }
-  Strategy strategy() const override { return strategy_; }
-  Network& network() const override { return *network_; }
-  void EnableRootCapture() override { inner_.EnableRootCapture(); }
-  RootState root_state() const override {
-    return RootState{inner_.root_partial(), nullptr};
-  }
-  ScratchStats scratch_stats() const override {
-    return inner_.scratch_stats();
-  }
-
- private:
-  std::shared_ptr<Network> network_;
-  Strategy strategy_;
-  TreeAggregator<A> inner_;
-};
-
-template <Aggregate A>
-class MultipathEngine final : public Engine {
- public:
-  MultipathEngine(const Scenario* sc, std::shared_ptr<Network> network,
-                  const A* aggregate, const EngineOptions& options)
-      : network_(std::move(network)),
-        inner_(&sc->rings, network_.get(), aggregate, options.contrib_seed) {}
-
-  EpochResult RunEpoch(uint32_t epoch) override {
-    return ToEpochResult(epoch, inner_.RunEpoch(epoch));
-  }
-  Strategy strategy() const override { return Strategy::kSynopsisDiffusion; }
-  Network& network() const override { return *network_; }
-  void EnableRootCapture() override { inner_.EnableRootCapture(); }
-  RootState root_state() const override {
-    return RootState{nullptr, inner_.root_synopsis()};
-  }
-  ScratchStats scratch_stats() const override {
-    return inner_.scratch_stats();
-  }
-
- private:
-  std::shared_ptr<Network> network_;
-  MultipathAggregator<A> inner_;
-};
-
-template <Aggregate A>
-class TributaryDeltaEngine final : public Engine {
- public:
-  TributaryDeltaEngine(const Scenario* sc, std::shared_ptr<Network> network,
-                       const A* aggregate, Strategy strategy,
-                       const EngineOptions& options)
-      : network_(std::move(network)),
-        strategy_(strategy),
-        inner_(&sc->tree, &sc->rings, network_.get(), aggregate,
-               MakePolicy(strategy),
-               typename TributaryDeltaAggregator<A>::Options{
-                   .adaptation = options.adaptation,
-                   .tree_extra_retransmissions =
-                       options.tree_extra_retransmissions >= 0
-                           ? options.tree_extra_retransmissions
-                           : 0,
-                   .contrib_seed = options.contrib_seed,
-                   .sensor_population = options.sensor_population}) {}
-
-  EpochResult RunEpoch(uint32_t epoch) override {
-    return ToEpochResult(epoch, inner_.RunEpoch(epoch));
-  }
-  Strategy strategy() const override { return strategy_; }
-  Network& network() const override { return *network_; }
-  void EnableRootCapture() override { inner_.EnableRootCapture(); }
-  RootState root_state() const override {
-    return RootState{inner_.root_partial(), inner_.root_synopsis()};
-  }
-  void OnTopologyChanged() override { inner_.OnTopologyChanged(); }
-  EngineStats stats() const override {
-    return EngineStats{.expansions = inner_.stats().expansions,
-                       .shrinks = inner_.stats().shrinks,
-                       .decisions = inner_.stats().decisions};
-  }
-  ScratchStats scratch_stats() const override {
-    return inner_.scratch_stats();
-  }
-  const RegionState* region() const override { return &inner_.region(); }
-  RegionState* mutable_region() override { return &inner_.region(); }
-
- private:
-  static std::unique_ptr<AdaptationPolicy> MakePolicy(Strategy s) {
-    if (s == Strategy::kTdCoarse) return std::make_unique<TdCoarsePolicy>();
-    return std::make_unique<TdFinePolicy>();
-  }
-
-  std::shared_ptr<Network> network_;
-  Strategy strategy_;
-  TributaryDeltaAggregator<A> inner_;
-};
-
-// ---------------------------------------------------------------- SoA --
-// The structure-of-arrays core (src/core/) behind the same type-erased
-// surface. Each wrapper mirrors its object twin exactly, plus: core()
-// reports kSoa, nodes_reprocessed() surfaces the epoch-delta cache, and
-// OnTopologyChanged also drops the cached CSR/topological schedules.
+// The engine wrappers. Each enables root capture at construction when
+// EngineOptions::capture_root_state asks for it, reports the epoch-delta
+// cache through nodes_reprocessed(), and drops its cached CSR/topological
+// schedules in OnTopologyChanged (Tributary-Delta also resyncs its region).
 
 template <Aggregate A>
 class SoaTreeEngine final : public Engine {
@@ -360,19 +235,19 @@ class SoaTreeEngine final : public Engine {
                    .extra_retransmissions =
                        options.tree_extra_retransmissions >= 0
                            ? options.tree_extra_retransmissions
-                           : (strategy == Strategy::kTagRetx ? 2 : 0)}) {}
+                           : (strategy == Strategy::kTagRetx ? 2 : 0)}) {
+    if (options.capture_root_state) inner_.EnableRootCapture();
+  }
 
   EpochResult RunEpoch(uint32_t epoch) override {
     return ToEpochResult(epoch, inner_.RunEpoch(epoch));
   }
   Strategy strategy() const override { return strategy_; }
   Network& network() const override { return *network_; }
-  EngineCore core() const override { return EngineCore::kSoa; }
   uint64_t nodes_reprocessed() const override {
     return inner_.nodes_reprocessed();
   }
   void OnTopologyChanged() override { inner_.OnTopologyChanged(); }
-  void EnableRootCapture() override { inner_.EnableRootCapture(); }
   RootState root_state() const override {
     return RootState{inner_.root_partial(), nullptr};
   }
@@ -392,19 +267,19 @@ class SoaMultipathEngine final : public Engine {
   SoaMultipathEngine(const Scenario* sc, std::shared_ptr<Network> network,
                      const A* aggregate, const EngineOptions& options)
       : network_(std::move(network)),
-        inner_(&sc->rings, network_.get(), aggregate, options.contrib_seed) {}
+        inner_(&sc->rings, network_.get(), aggregate, options.contrib_seed) {
+    if (options.capture_root_state) inner_.EnableRootCapture();
+  }
 
   EpochResult RunEpoch(uint32_t epoch) override {
     return ToEpochResult(epoch, inner_.RunEpoch(epoch));
   }
   Strategy strategy() const override { return Strategy::kSynopsisDiffusion; }
   Network& network() const override { return *network_; }
-  EngineCore core() const override { return EngineCore::kSoa; }
   uint64_t nodes_reprocessed() const override {
     return inner_.nodes_reprocessed();
   }
   void OnTopologyChanged() override { inner_.OnTopologyChanged(); }
-  void EnableRootCapture() override { inner_.EnableRootCapture(); }
   RootState root_state() const override {
     return RootState{nullptr, inner_.root_synopsis()};
   }
@@ -434,18 +309,18 @@ class SoaTributaryDeltaEngine final : public Engine {
                            ? options.tree_extra_retransmissions
                            : 0,
                    .contrib_seed = options.contrib_seed,
-                   .sensor_population = options.sensor_population}) {}
+                   .sensor_population = options.sensor_population}) {
+    if (options.capture_root_state) inner_.EnableRootCapture();
+  }
 
   EpochResult RunEpoch(uint32_t epoch) override {
     return ToEpochResult(epoch, inner_.RunEpoch(epoch));
   }
   Strategy strategy() const override { return strategy_; }
   Network& network() const override { return *network_; }
-  EngineCore core() const override { return EngineCore::kSoa; }
   uint64_t nodes_reprocessed() const override {
     return inner_.nodes_reprocessed();
   }
-  void EnableRootCapture() override { inner_.EnableRootCapture(); }
   RootState root_state() const override {
     return RootState{inner_.root_partial(), inner_.root_synopsis()};
   }
@@ -474,55 +349,34 @@ class SoaTributaryDeltaEngine final : public Engine {
 
 }  // namespace api_internal
 
-/// Builds a type-erased engine running `strategy` over `aggregate` on the
-/// chosen engine core (default: the object core). The scenario and
-/// aggregate must outlive the engine; the network is shared so several
-/// engines can ride one radio environment (and its RNG sequence). When
-/// options.capture_root_state is set, root capture is enabled here, so
-/// callers never have to poke the engine afterwards.
+/// Builds a type-erased engine running `strategy` over `aggregate`. The
+/// scenario and aggregate must outlive the engine; the network is shared
+/// so several engines can ride one radio environment (and its RNG
+/// sequence). When options.capture_root_state is set, the engine captures
+/// its root state from the first epoch on, so callers never have to poke
+/// the engine afterwards.
 template <Aggregate A>
 std::unique_ptr<Engine> MakeEngine(Strategy strategy, const Scenario& scenario,
                                    std::shared_ptr<Network> network,
                                    const A* aggregate,
-                                   EngineOptions options = {},
-                                   EngineCore core = EngineCore::kObject) {
+                                   EngineOptions options = {}) {
   TD_CHECK(network != nullptr);
   TD_CHECK(aggregate != nullptr);
-  std::unique_ptr<Engine> engine;
   switch (strategy) {
     case Strategy::kTag:
     case Strategy::kTagRetx:
-      if (core == EngineCore::kSoa) {
-        engine = std::make_unique<api_internal::SoaTreeEngine<A>>(
-            &scenario, std::move(network), aggregate, strategy, options);
-      } else {
-        engine = std::make_unique<api_internal::TreeEngine<A>>(
-            &scenario, std::move(network), aggregate, strategy, options);
-      }
-      break;
+      return std::make_unique<api_internal::SoaTreeEngine<A>>(
+          &scenario, std::move(network), aggregate, strategy, options);
     case Strategy::kSynopsisDiffusion:
-      if (core == EngineCore::kSoa) {
-        engine = std::make_unique<api_internal::SoaMultipathEngine<A>>(
-            &scenario, std::move(network), aggregate, options);
-      } else {
-        engine = std::make_unique<api_internal::MultipathEngine<A>>(
-            &scenario, std::move(network), aggregate, options);
-      }
-      break;
+      return std::make_unique<api_internal::SoaMultipathEngine<A>>(
+          &scenario, std::move(network), aggregate, options);
     case Strategy::kTributaryDelta:
     case Strategy::kTdCoarse:
-      if (core == EngineCore::kSoa) {
-        engine = std::make_unique<api_internal::SoaTributaryDeltaEngine<A>>(
-            &scenario, std::move(network), aggregate, strategy, options);
-      } else {
-        engine = std::make_unique<api_internal::TributaryDeltaEngine<A>>(
-            &scenario, std::move(network), aggregate, strategy, options);
-      }
-      break;
+      return std::make_unique<api_internal::SoaTributaryDeltaEngine<A>>(
+          &scenario, std::move(network), aggregate, strategy, options);
   }
-  TD_CHECK(engine != nullptr);
-  if (options.capture_root_state) engine->EnableRootCapture();
-  return engine;
+  TD_CHECK_MSG(false, "unknown Strategy");
+  return nullptr;
 }
 
 }  // namespace td

@@ -117,11 +117,6 @@ Experiment::Builder& Experiment::Builder::Strategy(td::Strategy strategy) {
   return *this;
 }
 
-Experiment::Builder& Experiment::Builder::Core(td::EngineCore core) {
-  core_ = core;
-  return *this;
-}
-
 Experiment::Builder& Experiment::Builder::CaptureRootState(bool capture) {
   capture_root_state_ = capture;
   return *this;
@@ -246,11 +241,6 @@ Experiment Experiment::Builder::Build() {
                  kind_ == AggregateKind::kFrequentItems),
                "Dynamics() does not support kFrequentItems: its item "
                "streams and precision gradient assume a static tree");
-  TD_CHECK_MSG(!(core_ == EngineCore::kSoa && queries_.empty() &&
-                 kind_ == AggregateKind::kFrequentItems),
-               "Core(kSoa) does not support kFrequentItems: the frequent-"
-               "items engine has its own multi-path machinery with no SoA "
-               "twin; use the default object core");
   TD_CHECK_MSG(!(telemetry_ && shared_network_),
                "Telemetry() is incompatible with a shared Network(): the "
                "sink would tally the other users' traffic into this "
@@ -427,7 +417,7 @@ Experiment Experiment::Builder::Build() {
 
   auto install = [&]<typename A>(std::shared_ptr<A> aggregate) {
     exp.engine_ = MakeEngine(strategy_, sc, exp.network_, aggregate.get(),
-                             engine_options, core_);
+                             engine_options);
     exp.aggregate_ = std::move(aggregate);
   };
 
@@ -834,7 +824,6 @@ RunResult Experiment::Run() {
   const uint64_t reprocessed_before = engine_->nodes_reprocessed();
 
   RunResult out;
-  out.core = engine_->core();
   out.epochs.reserve(epochs_);
   for (uint32_t e = warmup_; e < warmup_ + epochs_; ++e) {
     out.epochs.push_back(StepEpoch(e));

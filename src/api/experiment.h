@@ -88,14 +88,10 @@ struct RunResult {
   /// One entry per measured epoch (warmup epochs are discarded).
   std::vector<EpochResult> epochs;
 
-  /// Which engine core produced the run (the Builder::Core axis).
-  EngineCore core = EngineCore::kObject;
-
   /// Average self-state recomputes per measured epoch: how many nodes the
-  /// epoch-delta cache could NOT replay. 0 for the object core (it has no
-  /// incremental path); for the SoA core with constant readings this drops
-  /// to ~0 after the first epoch, and equals the in-sweep node count when
-  /// every reading changes each epoch.
+  /// epoch-delta cache could NOT replay. With constant readings this drops
+  /// to ~0 after the first epoch, and it equals the in-sweep node count
+  /// when every reading changes each epoch.
   double nodes_reprocessed_per_epoch = 0.0;
 
   /// Per-epoch ground truth of the PRIMARY query; empty when no truth is
@@ -333,15 +329,9 @@ class Experiment::Builder {
 
   // ------------------------------------------------------------ strategy
   Builder& Strategy(td::Strategy strategy);
-  /// Selects the engine core executing the strategy (default kObject).
-  /// kSoa runs the structure-of-arrays core (src/core/) -- pinned
-  /// bit-identical to the object core, built for 100k-1M node epochs.
-  /// Rejected (TD_CHECK) in combination with kFrequentItems.
-  Builder& Core(td::EngineCore core);
   /// Captures the base station's root aggregate state every epoch (see
   /// Engine::root_state). Implied by windowed queries; the federation tier
-  /// sets EngineOptions::capture_root_state directly. Replaces calling
-  /// Engine::EnableRootCapture by hand.
+  /// sets EngineOptions::capture_root_state directly.
   Builder& CaptureRootState(bool capture = true);
   Builder& Options(EngineOptions options);
   Builder& Adaptation(AdaptationConfig config);
@@ -444,7 +434,6 @@ class Experiment::Builder {
   int sketch_bitmaps_ = 0;  // 0: aggregate default
 
   td::Strategy strategy_ = td::Strategy::kTag;
-  td::EngineCore core_ = td::EngineCore::kObject;
   bool capture_root_state_ = false;
   EngineOptions options_;
   std::optional<DynamicsConfig> dynamics_;

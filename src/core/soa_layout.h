@@ -1,12 +1,12 @@
 // Flat structure-of-arrays building blocks for the SoA engine core
 // (src/core/): a position-major bitmap-bank arena, CSR ring adjacency, and
-// packed per-edge/per-node bitsets. The object engines (src/agg, src/td)
-// keep per-node payload objects and ground-truth NodeSets per inbox --
-// O(n^2) bits of coverage state and one heap hop per fuse -- which caps
-// epochs around 10k-100k nodes. These layouts hold the same epoch state in
-// a handful of contiguous arrays so ring sweeps become word-wide OR loops
-// the compiler autovectorizes, and coverage becomes one delivered bit per
-// edge plus an O(n + E) reachability pass.
+// packed per-edge/per-node bitsets. Per-node payload objects with a
+// ground-truth NodeSet per inbox would cost O(n^2) bits of coverage state
+// and one heap hop per fuse, capping epochs around 10k-100k nodes. These
+// layouts hold the epoch state in a handful of contiguous arrays so ring
+// sweeps become word-wide OR loops the compiler autovectorizes, and
+// coverage becomes one delivered bit per edge plus an O(n + E)
+// reachability pass.
 #ifndef TD_CORE_SOA_LAYOUT_H_
 #define TD_CORE_SOA_LAYOUT_H_
 

@@ -1,5 +1,6 @@
-// Structure-of-arrays twin of MultipathAggregator (src/agg/): the same
-// synopsis-diffusion sweep, restated over flat epoch state.
+// Synopsis diffusion (Section 2): ring by ring, farthest first, every node
+// fuses its own synopsis into what it heard from the ring below and
+// broadcasts the result toward the base -- over flat epoch state.
 //
 // Layout (FM-synopsis aggregates, the paper's Section 7.1 path):
 //   * every node's synopsis inbox is one slot of a position-major uint32_t
@@ -16,11 +17,11 @@
 // replays its cached self bank and skips MakeSynopsisInto entirely --
 // PR 2's FmValueMemo idea promoted from single insertions to whole nodes.
 //
-// Bit-identity contract: this engine issues the exact Deliver /
-// CountTransmission sequence of the object engine (same nodes, same order,
-// same byte counts -- BankRleBytes over the same bits), and evaluates
-// through the same FmSketch::Estimate / A::EvaluateSynopsis code, so every
-// RunResult field matches the object core bit for bit.
+// Results are pinned to the golden per-epoch recordings under
+// tests/golden/ (core_test): the Deliver / CountTransmission sequence
+// (nodes, order, byte counts -- BankRleBytes over the synopsis bits) and
+// the FmSketch::Estimate / A::EvaluateSynopsis evaluation reproduce every
+// RunResult field bit for bit.
 #ifndef TD_CORE_SOA_MULTIPATH_H_
 #define TD_CORE_SOA_MULTIPATH_H_
 
@@ -82,7 +83,7 @@ class SoaMultipathAggregator {
         }
 
         // Contrib bank: inbox copy + own-id insertion (OR commutes, so this
-        // is bit-identical to the object engine's AssignFrom + AddKey).
+        // is bit-identical to FmSketch::AssignFrom + AddKey).
         std::memcpy(out_contrib_.data(), contrib_inbox_.Slot(v),
                     contrib_words_ * sizeof(uint32_t));
         FmSketch::AddKeyBits(v, contrib_seed_, out_contrib_.data(),
@@ -151,7 +152,8 @@ class SoaMultipathAggregator {
  private:
   /// Self bank for FM-synopsis aggregates: replayed from the arena cache
   /// when the delta key is unchanged, recomputed (via the aggregate's own
-  /// MakeSynopsisInto, so memo behavior matches the object engine) on miss.
+  /// MakeSynopsisInto, so the aggregate's value memo sees the call) on
+  /// miss.
   const uint32_t* SelfBank(NodeId v, uint32_t epoch)
     requires SoaFmSynopsis<A>
   {
@@ -201,7 +203,7 @@ class SoaMultipathAggregator {
     }
   }
 
-  /// Replaces the object engine's per-inbox covered NodeSets: a node
+  /// Replaces a ground-truth covered NodeSet per inbox: a node
   /// contributed iff some delivered upstream edge chain reaches the base.
   /// Every upstream edge lands exactly one ring closer to the base, so one
   /// ascending-level pass settles reachability. Returns the count.

@@ -1,6 +1,8 @@
-// Structure-of-arrays twin of TributaryDeltaAggregator (src/td/): the same
-// level-by-level T/M sweep, adaptation loop, and feedback math, restated
-// over flat epoch state.
+// Tributary-Delta (Sections 3-4): tributary nodes (T) run TAG toward their
+// tree parent, delta nodes (M) run synopsis diffusion over the rings, and
+// the base station moves the boundary between them every adaptation
+// period -- a level-by-level T/M sweep plus the adaptation loop and its
+// feedback math, over flat epoch state.
 //
 // Layout: the delta-side synopsis inboxes live in a BankArena when the
 // aggregate's synopsis is a raw FM bank (Count, Sum, UniqueCount); the
@@ -18,10 +20,10 @@
 // The contributing-count conversion uses FmValueMemo::AddValueTo straight
 // into the arena.
 //
-// Bit-identity contract: identical Deliver / DeliverWithRetries /
-// CountTransmission sequence and byte counts, identical feedback and
-// adaptation arithmetic, so RunResult and the adaptation trace match the
-// object core bit for bit.
+// Results, the adaptation trace included, are pinned to the golden
+// per-epoch recordings under tests/golden/ (core_test): the Deliver /
+// DeliverWithRetries / CountTransmission sequence, byte counts, feedback
+// and adaptation arithmetic reproduce them bit for bit.
 #ifndef TD_CORE_SOA_TD_H_
 #define TD_CORE_SOA_TD_H_
 
@@ -113,7 +115,9 @@ class SoaTributaryDeltaAggregator {
     return out;
   }
 
-  /// Same churn reaction as the object engine, plus a CSR rebuild.
+  /// Churn reaction: rebase subtree sizes and population, resync the
+  /// region (mode-preserving crown repair), reset the damper, and rebuild
+  /// the CSR.
   void OnTopologyChanged() {
     subtree_size_ = tree_->ComputeSubtreeSizes();
     region_.Resync();
@@ -402,7 +406,7 @@ class SoaTributaryDeltaAggregator {
   /// tributary node's single parent unicast, a delta node's broadcast
   /// edges. Every hop lands one ring closer to the base (the Section 4.1
   /// constraint covers tree parents), so one ascending-level pass settles
-  /// it. Bit-identical to the object engine's covered-NodeSet flow.
+  /// it, without a ground-truth covered NodeSet per inbox.
   size_t ComputeContributors(NodeId base) {
     contributors_.Clear();
     size_t contributing = 0;

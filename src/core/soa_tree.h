@@ -1,22 +1,25 @@
-// Structure-of-arrays twin of TreeAggregator (src/agg/): the same TAG
-// sweep, with the three per-node object arrays replaced by flat state.
+// TAG tree aggregation (Section 2): every node merges its own partial
+// into the partials its children delivered, finalizes, and unicasts the
+// result to its tree parent, children before parents.
 //
 // Tree partials stay typed objects (they are tiny PODs for the registry
-// aggregates and carry no bank to arena-ize), but the two members that
-// scale quadratically or allocate per epoch are flattened:
+// aggregates and carry no bank to arena-ize), but the state that would
+// scale quadratically or allocate per epoch is flat:
 //   * coverage is ONE delivered bit per node (each node unicasts to exactly
-//     one parent) plus a reverse-topological reachability pass, replacing
-//     the per-inbox NodeSets' O(n^2) bits;
-//   * the children-first schedule is computed once and cached; the object
-//     engine rebuilds the vector every epoch. OnTopologyChanged drops it.
+//     one parent) plus a reverse-topological reachability pass, instead of
+//     a ground-truth NodeSet per inbox (O(n^2) bits);
+//   * the children-first schedule is computed once and cached;
+//     OnTopologyChanged drops it.
 //
 // Epoch deltas: when the aggregate exposes SelfSynopsisKey, a node whose
 // key is unchanged replays its cached MakeTreePartialInto result (the self
-// partial BEFORE child merges, which is the pure-function part).
+// partial BEFORE child merges, which is the pure-function part), merged
+// straight from the cache into the node's inbox slot -- no per-node copy
+// of heap-backed partials (sample synopses, q-digests).
 //
-// Bit-identity contract: identical DeliverWithRetries sequence and byte
-// counts, identical merge/finalize/evaluate calls, so results match the
-// object core bit for bit.
+// Results are pinned to the golden per-epoch recordings under
+// tests/golden/ (core_test): identical DeliverWithRetries sequence, byte
+// counts and merge/finalize/evaluate results, bit for bit.
 #ifndef TD_CORE_SOA_TREE_H_
 #define TD_CORE_SOA_TREE_H_
 
@@ -65,9 +68,10 @@ class SoaTreeAggregator {
 
     for (NodeId v : topo_) {
       if (v == root) continue;
-      typename A::TreePartial& partial = *scratch_partial_;
-      MakeSelfPartial(v, epoch, &partial);
-      aggregate_->MergeTree(&partial, inbox_[v]);
+      // The children's partials already sit in inbox_[v]: fold the node's
+      // own partial in and send that slot.
+      typename A::TreePartial& partial = inbox_[v];
+      aggregate_->MergeTree(&partial, SelfPartial(v, epoch));
       aggregate_->FinalizeTreePartial(&partial, v);
       uint64_t contributing = 1 + inbox_count_[v];
 
@@ -110,21 +114,24 @@ class SoaTreeAggregator {
   const ScratchStats& scratch_stats() const { return scratch_stats_; }
 
  private:
-  void MakeSelfPartial(NodeId v, uint32_t epoch, typename A::TreePartial* out) {
+  /// Node v's own partial at `epoch`: the delta-cache slot (replayed on a
+  /// key hit, recomputed in place on a miss) for keyed aggregates, a
+  /// freshly computed scratch partial otherwise. Valid until the next call.
+  const typename A::TreePartial& SelfPartial(NodeId v, uint32_t epoch) {
     if constexpr (SoaSelfKeyed<A>) {
       const uint64_t key = aggregate_->SelfSynopsisKey(v, epoch);
-      if (self_cache_.valid.Test(v) && self_cache_.key[v] == key) {
-        *out = self_cache_.state[v];
-        return;
+      typename A::TreePartial& cached = self_cache_.state[v];
+      if (!self_cache_.valid.Test(v) || self_cache_.key[v] != key) {
+        td::MakeTreePartialInto(*aggregate_, &cached, v, epoch);
+        self_cache_.key[v] = key;
+        self_cache_.valid.Set(v);
+        ++nodes_reprocessed_;
       }
-      td::MakeTreePartialInto(*aggregate_, out, v, epoch);
-      self_cache_.state[v] = *out;
-      self_cache_.key[v] = key;
-      self_cache_.valid.Set(v);
-      ++nodes_reprocessed_;
+      return cached;
     } else {
-      td::MakeTreePartialInto(*aggregate_, out, v, epoch);
+      td::MakeTreePartialInto(*aggregate_, &*scratch_partial_, v, epoch);
       ++nodes_reprocessed_;
+      return *scratch_partial_;
     }
   }
 

@@ -32,8 +32,8 @@ void Coordinator::Merge(FedState* state, const FedRootState& root) {
   TD_CHECK(state != nullptr);
   TD_CHECK_EQ(state->partials.size(), queries_.size());
   TD_CHECK_MSG(root.partial != nullptr || root.synopsis != nullptr,
-               "gateway root state has no sides: was EnableRootCapture "
-               "called before the gateway's first epoch?");
+               "gateway root state has no sides: was the gateway engine "
+               "built with EngineOptions::capture_root_state set?");
   if (root.partial != nullptr) {
     TD_CHECK_EQ(root.partial->q.size(), queries_.size());
     state->has_tree = true;

@@ -7,40 +7,6 @@
 
 namespace td {
 
-namespace {
-
-constexpr int kPrefixBits = 5;  // prefix length in [0, 31] (32 is re-coded)
-constexpr int kFringeBits = 6;  // fringe length in [0, 32]
-
-// Splits a 32-bit bitmap into (ones-prefix length, fringe bits, fringe len).
-// The fringe spans from the first zero to the last one, inclusive; all bits
-// above the fringe are zero.
-struct SplitBitmap {
-  int prefix;   // leading run of ones
-  int fringe;   // number of fringe bits
-  uint32_t fringe_bits;
-};
-
-SplitBitmap Split(uint32_t bm) {
-  SplitBitmap s;
-  s.prefix = std::countr_one(bm);
-  if (s.prefix >= 32) {
-    // All-ones bitmap: re-code as a 31-bit prefix plus a single fringe one so
-    // the prefix field stays within 5 bits.
-    s.prefix = 31;
-    s.fringe = 1;
-    s.fringe_bits = 1;
-    return s;
-  }
-  uint32_t rest = bm >> s.prefix;  // bit 0 of rest is the first zero
-  int top = rest == 0 ? -1 : 31 - std::countl_zero(rest);
-  s.fringe = top + 1;  // 0 when there are no ones above the prefix
-  s.fringe_bits = rest & (s.fringe >= 32 ? ~0u : ((1u << s.fringe) - 1));
-  return s;
-}
-
-}  // namespace
-
 void BitWriter::WriteBit(bool bit) {
   size_t byte = bit_count_ / 8;
   if (byte >= bytes_.size()) bytes_.push_back(0);
@@ -83,34 +49,6 @@ bool BitReader::ReadBit() {
   return bit;
 }
 
-uint64_t BitReader::ReadBits(int nbits) {
-  TD_CHECK_GE(nbits, 0);
-  TD_CHECK_LE(nbits, 64);
-  TD_CHECK(pos_ + static_cast<size_t>(nbits) <= bytes_.size() * 8);
-  uint64_t v = 0;
-  int got = 0;
-  while (got < nbits) {
-    size_t byte = pos_ / 8;
-    int off = static_cast<int>(pos_ % 8);
-    int take = 8 - off;
-    if (take > nbits - got) take = nbits - got;
-    uint64_t chunk = (static_cast<uint64_t>(bytes_[byte]) >> off) &
-                     ((1u << take) - 1);
-    v |= chunk << got;
-    got += take;
-    pos_ += static_cast<size_t>(take);
-  }
-  return v;
-}
-
-uint64_t BitReader::ReadGamma() {
-  int len = 0;
-  while (!ReadBit()) ++len;
-  uint64_t n = 1;
-  for (int i = 0; i < len; ++i) n = (n << 1) | (ReadBit() ? 1 : 0);
-  return n;
-}
-
 bool BitReader::TryReadBit(bool* out) {
   if (AtEnd()) return false;
   *out = ReadBit();
@@ -134,42 +72,6 @@ bool BitReader::TryReadGamma(uint64_t* out) {
   }
   *out = n;
   return true;
-}
-
-std::vector<uint8_t> EncodeBitmapsRle(const std::vector<uint32_t>& bitmaps) {
-  BitWriter w;
-  for (uint32_t bm : bitmaps) {
-    SplitBitmap s = Split(bm);
-    w.WriteBits(static_cast<uint64_t>(s.prefix), kPrefixBits);
-    w.WriteBits(static_cast<uint64_t>(s.fringe), kFringeBits);
-    w.WriteBits(s.fringe_bits, s.fringe);
-  }
-  return w.bytes();
-}
-
-std::vector<uint32_t> DecodeBitmapsRle(const std::vector<uint8_t>& bytes,
-                                       size_t count) {
-  BitReader r(bytes);
-  std::vector<uint32_t> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    int prefix = static_cast<int>(r.ReadBits(kPrefixBits));
-    int fringe = static_cast<int>(r.ReadBits(kFringeBits));
-    uint32_t fringe_bits = static_cast<uint32_t>(r.ReadBits(fringe));
-    uint32_t bm = prefix >= 32 ? ~0u : ((prefix == 0) ? 0u : ((1u << prefix) - 1));
-    bm |= fringe_bits << prefix;
-    out.push_back(bm);
-  }
-  return out;
-}
-
-size_t RleEncodedBytes(const std::vector<uint32_t>& bitmaps) {
-  size_t bits = 0;
-  for (uint32_t bm : bitmaps) {
-    SplitBitmap s = Split(bm);
-    bits += kPrefixBits + kFringeBits + static_cast<size_t>(s.fringe);
-  }
-  return (bits + 7) / 8;
 }
 
 namespace {

@@ -4,17 +4,16 @@
 // energy) accounting.
 //
 // An FM bitmap is, with high probability, a prefix of ones, a short noisy
-// "fringe", then zeros. The codec stores, per bitmap:
-//   - the length of the leading run of ones   (5 bits)
-//   - the length of the fringe                (5 bits)
-//   - the fringe bits verbatim                (fringe-length bits)
-// which compresses a typical populated bitmap to well under a byte.
+// "fringe", then zeros, and every bitmap of a bank fills to a similar
+// level. The bank codec (EncodeBankRle / BankRleBytes) exploits both: it
+// transposes the bank to bit-position-major order and run-length encodes
+// the result, so a populated bank costs a few gamma-coded runs.
 //
-// The bank codec (EncodeBankRle / BankRleBytes) is the message-size unit of
-// every simulated epoch, so it runs word-at-a-time: the bank is transposed
-// into a position-major 64-bit-word stream once, and runs are scanned with
-// countr_one/countr_zero instead of a div/mod per bit. The size-only and
-// encoding paths share the one run-scanning core.
+// The codec is the message-size unit of every simulated epoch, so it runs
+// word-at-a-time: the bank is transposed into a position-major
+// 64-bit-word stream once, and runs are scanned with countr_one /
+// countr_zero instead of a div/mod per bit. The size-only and encoding
+// paths share the one run-scanning core.
 #ifndef TD_SKETCH_RLE_H_
 #define TD_SKETCH_RLE_H_
 
@@ -49,12 +48,11 @@ class BitReader {
  public:
   explicit BitReader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
 
+  /// CHECK-fails past the end of the stream.
   bool ReadBit();
-  uint64_t ReadBits(int nbits);
-  uint64_t ReadGamma();
   bool AtEnd() const { return pos_ >= bytes_.size() * 8; }
 
-  /// Non-aborting variants for decoding untrusted input: return false
+  /// Non-aborting readers for decoding untrusted input: return false
   /// instead of CHECK-failing when the stream ends mid-value.
   bool TryReadBit(bool* out);
   bool TryReadGamma(uint64_t* out);
@@ -63,16 +61,6 @@ class BitReader {
   const std::vector<uint8_t>& bytes_;
   size_t pos_ = 0;
 };
-
-/// Encodes a bank of 32-bit FM bitmaps; lossless.
-std::vector<uint8_t> EncodeBitmapsRle(const std::vector<uint32_t>& bitmaps);
-
-/// Inverse of EncodeBitmapsRle. `count` is the number of bitmaps encoded.
-std::vector<uint32_t> DecodeBitmapsRle(const std::vector<uint8_t>& bytes,
-                                       size_t count);
-
-/// Encoded size in bytes without materializing the encoding.
-size_t RleEncodedBytes(const std::vector<uint32_t>& bitmaps);
 
 /// Bank codec: the whole bitmap bank transposed to bit-position-major order
 /// and run-length encoded with Elias-gamma lengths. Because all FM bitmaps

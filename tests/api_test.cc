@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "agg/aggregates.h"
-#include "agg/multipath_aggregator.h"
-#include "agg/tree_aggregator.h"
 #include "api/experiment.h"
+#include "core/soa_multipath.h"
+#include "core/soa_td.h"
+#include "core/soa_tree.h"
 #include "net/network.h"
-#include "td/tributary_delta_aggregator.h"
 #include "workload/labdata.h"
 #include "workload/scenario.h"
 
@@ -51,19 +51,19 @@ std::vector<GoldenRow> RunDirect(Strategy strategy, const Scenario& sc,
   };
   switch (strategy) {
     case Strategy::kTag: {
-      TreeAggregator<A> eng(&sc.tree, &net, &agg);
+      SoaTreeAggregator<A> eng(&sc.tree, &net, &agg);
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
     case Strategy::kTagRetx: {
-      TreeAggregator<A> eng(
+      SoaTreeAggregator<A> eng(
           &sc.tree, &net, &agg,
-          typename TreeAggregator<A>::Options{.extra_retransmissions = 2});
+          typename SoaTreeAggregator<A>::Options{.extra_retransmissions = 2});
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
     case Strategy::kSynopsisDiffusion: {
-      MultipathAggregator<A> eng(&sc.rings, &net, &agg);
+      SoaMultipathAggregator<A> eng(&sc.rings, &net, &agg);
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
@@ -75,8 +75,8 @@ std::vector<GoldenRow> RunDirect(Strategy strategy, const Scenario& sc,
       } else {
         policy = std::make_unique<TdFinePolicy>();
       }
-      TributaryDeltaAggregator<A> eng(&sc.tree, &sc.rings, &net, &agg,
-                                      std::move(policy));
+      SoaTributaryDeltaAggregator<A> eng(&sc.tree, &sc.rings, &net, &agg,
+                                         std::move(policy));
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
@@ -400,11 +400,13 @@ TEST(ExperimentTest, SharedNetworkDrivesMultipleEngines) {
             2 * (sc.tree.num_in_tree() - 1));
 }
 
-// The facade-level CaptureRootState switch must behave exactly like the
-// deprecated per-engine EnableRootCapture call it replaces: same sides
-// populated, zero extra radio traffic either way.
-TEST(ExperimentTest, CaptureRootStateMatchesDeprecatedEnableRootCapture) {
+// The facade-level CaptureRootState switch populates exactly the sides a
+// strategy's root state carries -- the tree partial for TAG, the synopsis
+// for synopsis diffusion, both for Tributary-Delta -- and nothing is
+// captured without it.
+TEST(ExperimentTest, CaptureRootStatePopulatesStrategySides) {
   for (Strategy s : kAllStrategies) {
+    SCOPED_TRACE(StrategyName(s));
     auto builder = [&] {
       Experiment::Builder b;
       b.Synthetic(41, 150)
@@ -415,23 +417,22 @@ TEST(ExperimentTest, CaptureRootStateMatchesDeprecatedEnableRootCapture) {
           .Epochs(1);
       return b;
     };
-    Experiment via_builder = builder().CaptureRootState().Build();
-    Experiment via_shim = builder().Build();
-    via_shim.engine().EnableRootCapture();  // deprecated path
-    EpochResult ra = via_builder.StepEpoch(0);
-    EpochResult rb = via_shim.StepEpoch(0);
-    EXPECT_EQ(ra.value, rb.value);
-    RootState sa = via_builder.engine().root_state();
-    RootState sb = via_shim.engine().root_state();
-    EXPECT_EQ(sa.tree_partial != nullptr, sb.tree_partial != nullptr);
-    EXPECT_EQ(sa.synopsis != nullptr, sb.synopsis != nullptr);
-    EXPECT_TRUE(sa.tree_partial != nullptr || sa.synopsis != nullptr);
-    // Without either switch no state is captured.
+    Experiment on = builder().CaptureRootState().Build();
     Experiment off = builder().Build();
-    off.StepEpoch(0);
-    RootState so = off.engine().root_state();
-    EXPECT_EQ(so.tree_partial, nullptr);
-    EXPECT_EQ(so.synopsis, nullptr);
+    EpochResult r_on = on.StepEpoch(0);
+    EpochResult r_off = off.StepEpoch(0);
+    // Capture is base-station bookkeeping: the answer does not move.
+    EXPECT_EQ(r_on.value, r_off.value);
+    EXPECT_EQ(on.network().total_energy().bytes,
+              off.network().total_energy().bytes);
+    RootState captured = on.engine().root_state();
+    EXPECT_EQ(captured.tree_partial != nullptr,
+              s != Strategy::kSynopsisDiffusion);
+    EXPECT_EQ(captured.synopsis != nullptr,
+              s == Strategy::kSynopsisDiffusion || IsAdaptive(s));
+    RootState none = off.engine().root_state();
+    EXPECT_EQ(none.tree_partial, nullptr);
+    EXPECT_EQ(none.synopsis, nullptr);
   }
 }
 

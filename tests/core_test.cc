@@ -1,27 +1,38 @@
-// Tests for the SoA engine core (src/core/) and its backend-selection
-// facade surface. The load-bearing pins:
+// Tests for the engine core (src/core/). The load-bearing pins:
 //
-//   * bit-identity: Core(kSoa) reproduces Core(kObject) EXACTLY -- every
-//     epoch value, contributor count, reported count, byte/energy tally,
-//     adaptation counter, windowed series -- across all five strategies,
-//     the registry aggregates, query sets and dynamics. The SoA engines
-//     issue the identical Deliver/CountTransmission sequence against the
-//     shared network RNG, so any drift shows up as a hard mismatch here.
+//   * golden recordings: every epoch value, contributor count, reported
+//     count, per-query and windowed value, frequent-items count, byte /
+//     energy tally, adaptation counter, repair and link-layer retry tally
+//     matches the per-epoch fixtures under tests/golden/ EXACTLY (hex
+//     floats) -- across all five strategies, every registry aggregate,
+//     frequent items, query sets with windows, churn dynamics, sparsely
+//     changing readings (delta replay) and an ETX + retry link layer. The
+//     fixtures were recorded from the original per-node-object engines,
+//     which the structure-of-arrays core replaced bit for bit; any drift
+//     in the Deliver/CountTransmission sequence against the shared network
+//     RNG shows up as a hard mismatch here.
 //   * epoch deltas: unchanged readings replay cached self banks (the
-//     nodes_reprocessed_per_epoch observability), without perturbing
-//     results relative to full recompute.
-//   * determinism: Threads(1) == Threads(8) RunTrials on the SoA core.
-//   * rejection: Core(kSoa) + kFrequentItems dies with a useful message.
+//     nodes_reprocessed_per_epoch observability).
+//   * determinism: Threads(1) == Threads(8) RunTrials.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "api/experiment.h"
+#include "golden.h"
+#include "link/fault_injector.h"
+#include "util/rng.h"
 #include "workload/scenario.h"
+#include "workload/synthetic.h"
 
 namespace td {
 namespace {
+
+using golden::ExpectMatchesGolden;
+using golden::ExpectRunMatchesGolden;
 
 uint64_t IdReading(NodeId node, uint32_t epoch) {
   return node * 3 + epoch % 5;
@@ -39,7 +50,7 @@ uint64_t SparselyChangingReading(NodeId node, uint32_t epoch) {
 }
 
 // Full bitwise comparison of two runs. EXPECT_EQ on doubles is exact
-// equality -- that is the point: the cores must not differ in the last ulp.
+// equality -- that is the point: runs must not differ in the last ulp.
 void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
   ASSERT_EQ(a.epochs.size(), b.epochs.size());
   for (size_t i = 0; i < a.epochs.size(); ++i) {
@@ -89,113 +100,148 @@ Experiment::Builder BaseBuilder(td::Strategy strategy, AggregateKind kind) {
   return b;
 }
 
+const char* StrategyLabel(Strategy s) {
+  switch (s) {
+    case Strategy::kTag: return "Tag";
+    case Strategy::kTagRetx: return "TagRetx";
+    case Strategy::kSynopsisDiffusion: return "SD";
+    case Strategy::kTributaryDelta: return "TD";
+    case Strategy::kTdCoarse: return "TdCoarse";
+  }
+  return "Unknown";
+}
+
+// Fixture file of one strategy's golden cases: tests/golden/core_<s>.txt.
+std::string GoldenFile(Strategy s) {
+  std::string name = StrategyLabel(s);
+  for (char& c : name) c = static_cast<char>(std::tolower(c));
+  return "core_" + name;
+}
+
 class CoreStrategyTest : public testing::TestWithParam<td::Strategy> {};
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, CoreStrategyTest,
                          testing::ValuesIn(kAllStrategies),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case Strategy::kTag: return "Tag";
-                             case Strategy::kTagRetx: return "TagRetx";
-                             case Strategy::kSynopsisDiffusion: return "SD";
-                             case Strategy::kTributaryDelta: return "TD";
-                             case Strategy::kTdCoarse: return "TdCoarse";
-                           }
-                           return "Unknown";
+                           return StrategyLabel(info.param);
                          });
 
-TEST_P(CoreStrategyTest, SoaBitIdenticalToObjectAcrossRegistryAggregates) {
+TEST_P(CoreStrategyTest, RegistryAggregatesMatchGolden) {
   const AggregateKind kinds[] = {
-      AggregateKind::kCount,  AggregateKind::kSum,
-      AggregateKind::kAvg,    AggregateKind::kMin,
-      AggregateKind::kMax,    AggregateKind::kUniqueCount,
-      AggregateKind::kQuantile};
+      AggregateKind::kCount,      AggregateKind::kSum,
+      AggregateKind::kAvg,        AggregateKind::kMin,
+      AggregateKind::kMax,        AggregateKind::kUniqueCount,
+      AggregateKind::kQuantile,   AggregateKind::kQuantileQd,
+      AggregateKind::kHistogramQd, AggregateKind::kRangeCountQd};
   for (AggregateKind kind : kinds) {
-    RunResult obj =
-        BaseBuilder(GetParam(), kind).Core(EngineCore::kObject).Run();
-    RunResult soa = BaseBuilder(GetParam(), kind).Core(EngineCore::kSoa).Run();
     SCOPED_TRACE(AggregateKindName(kind));
-    EXPECT_EQ(obj.core, EngineCore::kObject);
-    EXPECT_EQ(soa.core, EngineCore::kSoa);
-    ExpectBitIdentical(obj, soa);
+    ExpectRunMatchesGolden(GoldenFile(GetParam()), AggregateKindName(kind),
+                           BaseBuilder(GetParam(), kind));
   }
 }
 
-TEST_P(CoreStrategyTest, SoaBitIdenticalOnQuerySetsAndWindows) {
-  auto make = [&](EngineCore core) {
-    Query count;
-    count.kind = AggregateKind::kCount;
-    Query sum;
-    sum.kind = AggregateKind::kSum;
-    sum.window = WindowSpec::Sliding(5);
-    Query avg;
-    avg.kind = AggregateKind::kAvg;
-    return Experiment::Builder()
-        .Synthetic(/*seed=*/9, /*num_sensors=*/256)
-        .AddQuery(count)
-        .AddQuery(sum)
-        .AddQuery(avg)
-        .Reading(IdReading)
-        .Strategy(GetParam())
-        .Core(core)
-        .GlobalLossRate(0.15)
-        .NetworkSeed(13)
-        .Warmup(3)
-        .Epochs(10)
-        .Run();
-  };
-  ExpectBitIdentical(make(EngineCore::kObject), make(EngineCore::kSoa));
+TEST_P(CoreStrategyTest, FrequentItemsMatchGolden) {
+  Scenario sc = MakeSyntheticScenario(/*seed=*/7, /*num_sensors=*/300);
+  ItemSource items(sc.deployment.size());
+  Rng rng(21);
+  FillSharedZipfStreams(&items, /*universe=*/64, /*s=*/1.1,
+                        /*stream_length=*/20, &rng);
+  MultipathFreqParams params;
+  params.eps = 0.02;
+  params.item_bitmaps = 16;
+  ExpectRunMatchesGolden(GoldenFile(GetParam()), "FrequentItems",
+                         Experiment::Builder()
+                             .Scenario(&sc)
+                             .Aggregate(AggregateKind::kFrequentItems)
+                             .Items(&items)
+                             .FreqParams(params)
+                             .Strategy(GetParam())
+                             .GlobalLossRate(0.2)
+                             .NetworkSeed(11)
+                             .AdaptPeriod(3)
+                             .Warmup(4)
+                             .Epochs(12));
 }
 
-TEST_P(CoreStrategyTest, SoaBitIdenticalUnderDynamics) {
-  auto make = [&](EngineCore core) {
-    DynamicsConfig config;
-    config.churn = ChurnConfig{
-        .fail_rate = 0.03, .mean_downtime = 6.0, .max_dead_fraction = 0.3};
-    return BaseBuilder(GetParam(), AggregateKind::kSum)
-        .Dynamics(config)
-        .Core(core)
-        .Run();
-  };
-  RunResult obj = make(EngineCore::kObject);
-  RunResult soa = make(EngineCore::kSoa);
-  EXPECT_GT(soa.topology_repairs, 0u);
-  ExpectBitIdentical(obj, soa);
+TEST_P(CoreStrategyTest, QuerySetsAndWindowsMatchGolden) {
+  Query count;
+  count.kind = AggregateKind::kCount;
+  Query sum;
+  sum.kind = AggregateKind::kSum;
+  sum.window = WindowSpec::Sliding(5);
+  Query avg;
+  avg.kind = AggregateKind::kAvg;
+  ExpectRunMatchesGolden(GoldenFile(GetParam()), "QuerySetWindowed",
+                         Experiment::Builder()
+                             .Synthetic(/*seed=*/9, /*num_sensors=*/256)
+                             .AddQuery(count)
+                             .AddQuery(sum)
+                             .AddQuery(avg)
+                             .Reading(IdReading)
+                             .Strategy(GetParam())
+                             .GlobalLossRate(0.15)
+                             .NetworkSeed(13)
+                             .Warmup(3)
+                             .Epochs(10));
 }
 
-// Delta path: replaying cached banks for unchanged readings must not change
-// anything relative to the full recompute the object core always does.
-TEST_P(CoreStrategyTest, EpochDeltaReplayMatchesFullRecompute) {
-  auto make = [&](EngineCore core) {
-    return BaseBuilder(GetParam(), AggregateKind::kSum)
-        .Reading(SparselyChangingReading)
-        .Core(core)
-        .Run();
-  };
-  ExpectBitIdentical(make(EngineCore::kObject), make(EngineCore::kSoa));
+TEST_P(CoreStrategyTest, DynamicsMatchGolden) {
+  DynamicsConfig config;
+  config.churn = ChurnConfig{
+      .fail_rate = 0.03, .mean_downtime = 6.0, .max_dead_fraction = 0.3};
+  RunResult r =
+      BaseBuilder(GetParam(), AggregateKind::kSum).Dynamics(config).Run();
+  EXPECT_GT(r.topology_repairs, 0u);
+  ExpectMatchesGolden(GoldenFile(GetParam()), "SumChurn", r);
+}
+
+// Delta path: replaying cached banks for unchanged readings must reproduce
+// the recording of a full recompute of every node.
+TEST_P(CoreStrategyTest, EpochDeltaReplayMatchesGolden) {
+  ExpectRunMatchesGolden(
+      GoldenFile(GetParam()), "SumSparseChanges",
+      BaseBuilder(GetParam(), AggregateKind::kSum)
+          .Reading(SparselyChangingReading));
+}
+
+// Link layer: ETX parents, a three-attempt retry budget with ack loss,
+// route aging and the scripted reference fault schedule.
+TEST_P(CoreStrategyTest, LinkLayerRetriesMatchGolden) {
+  Scenario sc = MakeSyntheticScenario(/*seed=*/9, /*num_sensors=*/200);
+  LinkLayerConfig ll;
+  ll.etx_parents = true;
+  ll.retry.max_attempts = 3;
+  ll.retry.ack_loss = true;
+  ll.aging = RouteAgingConfig{};
+  ll.faults = ReferenceFaultSchedule(sc.deployment, 24);
+  RunResult r = Experiment::Builder()
+                    .Scenario(&sc)
+                    .Aggregate(AggregateKind::kCount)
+                    .Strategy(GetParam())
+                    .LinkLayer(ll)
+                    .NetworkSeed(5)
+                    .Warmup(4)
+                    .Epochs(20)
+                    .Run();
+  if (GetParam() != Strategy::kSynopsisDiffusion) {
+    EXPECT_GT(r.attempts_per_epoch, 0.0);
+  }
+  ExpectMatchesGolden(GoldenFile(GetParam()), "CountLinkLayer", r);
 }
 
 TEST(CoreDeltaTest, ConstantReadingsReplayEverything) {
   RunResult r = BaseBuilder(Strategy::kSynopsisDiffusion, AggregateKind::kSum)
                     .Reading(ConstantReading)
-                    .Core(EngineCore::kSoa)
                     .Run();
   // Every node's self bank was cached during warmup; measured epochs replay.
   EXPECT_EQ(r.nodes_reprocessed_per_epoch, 0.0);
-
-  RunResult obj = BaseBuilder(Strategy::kSynopsisDiffusion, AggregateKind::kSum)
-                      .Reading(ConstantReading)
-                      .Core(EngineCore::kObject)
-                      .Run();
-  // The object core has no incremental path to observe.
-  EXPECT_EQ(obj.nodes_reprocessed_per_epoch, 0.0);
-  ExpectBitIdentical(obj, r);
+  ExpectMatchesGolden(GoldenFile(Strategy::kSynopsisDiffusion),
+                      "SumConstant", r);
 }
 
 TEST(CoreDeltaTest, SparseChangesReprocessOnlyTouchedNodes) {
   RunResult r = BaseBuilder(Strategy::kSynopsisDiffusion, AggregateKind::kSum)
                     .Reading(SparselyChangingReading)
-                    .Core(EngineCore::kSoa)
                     .Run();
   // ~2/13 of nodes change per epoch (this epoch's perturbed set plus last
   // epoch's reverting back); everyone else replays.
@@ -205,16 +251,14 @@ TEST(CoreDeltaTest, SparseChangesReprocessOnlyTouchedNodes) {
   RunResult churn = BaseBuilder(Strategy::kSynopsisDiffusion,
                                 AggregateKind::kSum)
                         .Reading(IdReading)  // changes every epoch
-                        .Core(EngineCore::kSoa)
                         .Run();
   EXPECT_GT(churn.nodes_reprocessed_per_epoch,
             r.nodes_reprocessed_per_epoch);
 }
 
-TEST(CoreTrialsTest, RunTrialsDeterministicAcrossThreadCountsOnSoa) {
+TEST(CoreTrialsTest, RunTrialsDeterministicAcrossThreadCounts) {
   auto sweep = [&](unsigned threads) {
     return BaseBuilder(Strategy::kTributaryDelta, AggregateKind::kCount)
-        .Core(EngineCore::kSoa)
         .Trials(6)
         .Threads(threads)
         .RunTrials();
@@ -230,33 +274,11 @@ TEST(CoreTrialsTest, RunTrialsDeterministicAcrossThreadCountsOnSoa) {
   EXPECT_EQ(one.estimates.stddev(), eight.estimates.stddev());
 }
 
-TEST(CoreApiTest, EngineReportsItsCore) {
-  Experiment obj = BaseBuilder(Strategy::kTag, AggregateKind::kCount).Build();
-  EXPECT_EQ(obj.engine().core(), EngineCore::kObject);
-  EXPECT_EQ(obj.engine().nodes_reprocessed(), 0u);
-
-  Experiment soa = BaseBuilder(Strategy::kTag, AggregateKind::kCount)
-                       .Core(EngineCore::kSoa)
-                       .Build();
-  EXPECT_EQ(soa.engine().core(), EngineCore::kSoa);
-  soa.StepEpoch(0);
-  EXPECT_GT(soa.engine().nodes_reprocessed(), 0u);
-}
-
-TEST(CoreApiTest, EngineCoreNames) {
-  EXPECT_STREQ(EngineCoreName(EngineCore::kObject), "object");
-  EXPECT_STREQ(EngineCoreName(EngineCore::kSoa), "soa");
-}
-
-TEST(CoreRejectionDeathTest, SoaRejectsFrequentItems) {
-  EXPECT_DEATH(Experiment::Builder()
-                   .Synthetic(3, 64)
-                   .Aggregate(AggregateKind::kFrequentItems)
-                   .Strategy(Strategy::kSynopsisDiffusion)
-                   .Core(EngineCore::kSoa)
-                   .Epochs(1)
-                   .Build(),
-               "kFrequentItems");
+TEST(CoreApiTest, EngineReportsReprocessedNodes) {
+  Experiment exp = BaseBuilder(Strategy::kTag, AggregateKind::kCount).Build();
+  EXPECT_EQ(exp.engine().nodes_reprocessed(), 0u);
+  exp.StepEpoch(0);
+  EXPECT_GT(exp.engine().nodes_reprocessed(), 0u);
 }
 
 }  // namespace

@@ -408,48 +408,41 @@ TEST(FmSketchTest, ClearAndAssignFromReuseStorage) {
 
 // ------------------------------------------------------------------ RLE --
 
+// Reads `nbits` LSB-first through the non-aborting reader.
+uint64_t TryReadBits(BitReader* r, int nbits) {
+  uint64_t v = 0;
+  for (int i = 0; i < nbits; ++i) {
+    bool bit = false;
+    EXPECT_TRUE(r->TryReadBit(&bit)) << "stream ended at bit " << i;
+    v |= static_cast<uint64_t>(bit) << i;
+  }
+  return v;
+}
+
 TEST(RleTest, BitWriterReaderRoundtrip) {
   BitWriter w;
   w.WriteBits(0b1011, 4);
   w.WriteBit(true);
   w.WriteBits(0x12345678, 32);
   BitReader r(w.bytes());
-  EXPECT_EQ(r.ReadBits(4), 0b1011u);
+  EXPECT_EQ(TryReadBits(&r, 4), 0b1011u);
   EXPECT_TRUE(r.ReadBit());
-  EXPECT_EQ(r.ReadBits(32), 0x12345678u);
-}
-
-TEST(RleTest, RoundtripSpecialBitmaps) {
-  std::vector<uint32_t> bitmaps{0u,          1u,         0xffffffffu,
-                                0x80000000u, 0x7fffffffu, 0b1011u,
-                                0xfff00fffu, 0x55555555u};
-  auto bytes = EncodeBitmapsRle(bitmaps);
-  auto decoded = DecodeBitmapsRle(bytes, bitmaps.size());
-  EXPECT_EQ(decoded, bitmaps);
-}
-
-TEST(RleTest, RoundtripRandomBitmaps) {
-  Rng rng(73);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<uint32_t> bitmaps;
-    for (int i = 0; i < 40; ++i) {
-      bitmaps.push_back(static_cast<uint32_t>(rng.Next()));
-    }
-    auto bytes = EncodeBitmapsRle(bitmaps);
-    EXPECT_EQ(DecodeBitmapsRle(bytes, 40), bitmaps);
-    EXPECT_EQ(bytes.size(), RleEncodedBytes(bitmaps));
-  }
+  EXPECT_EQ(TryReadBits(&r, 32), 0x12345678u);
+  // 37 bits written, 40 in the last byte: three zero pad bits, then end.
+  EXPECT_EQ(TryReadBits(&r, 3), 0u);
+  bool bit = false;
+  EXPECT_FALSE(r.TryReadBit(&bit));
 }
 
 TEST(RleTest, TypicalFmBankCompressesWell) {
   // FM bitmaps (prefix of ones + fringe) compress far better than random.
   FmSketch s(40, 11);
   for (uint64_t k = 0; k < 1000; ++k) s.AddKey(k);
-  size_t fm_bytes = RleEncodedBytes(s.bitmaps());
+  size_t fm_bytes = BankRleBytes(s.bitmaps());
   Rng rng(79);
   std::vector<uint32_t> random;
   for (int i = 0; i < 40; ++i) random.push_back(static_cast<uint32_t>(rng.Next()));
-  size_t random_bytes = RleEncodedBytes(random);
+  size_t random_bytes = BankRleBytes(random);
   EXPECT_LT(fm_bytes, random_bytes);
 }
 
