@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -376,7 +377,7 @@ double SecondsPerCall(const std::function<void()>& fn, int calls) {
 // The off arm re-times the exact td_epoch_us workload through
 // Experiment::StepEpoch with the default (null) sink, so check_bench can
 // hold it against the committed pre-telemetry td_epoch_us baseline (<= 2%
-// with bank_rle_bytes_ns machine calibration). The on arm prices the sink
+// with rle_calibration_ns machine calibration). The on arm prices the sink
 // itself, and two exact-equality flags pin the contracts that matter more
 // than the timing: telemetry off is deterministic, and switching it on
 // changes no simulation output bit.
@@ -465,6 +466,80 @@ void AppendTelemetryJson(bench::BenchJson* json) {
 }
 
 // ------------------------------------------------------------------------
+// Machine calibration (rle_calibration_ns). check_bench divides every ratio
+// by this row's current/baseline ratio to cancel the speed gap between the
+// machine that recorded the baseline and the one running the gate. It times
+// a frozen copy of the transpose-and-scan bank sizer that the library used
+// when the baseline was recorded, on the same bank and call count as
+// bank_rle_bytes_ns, so the calibrator keeps its workload when the
+// library's kernels get faster. Calibration only; never change it.
+namespace calibration {
+
+std::vector<uint64_t>& TransposeScratch() {
+  thread_local std::vector<uint64_t> words;
+  return words;
+}
+
+void TransposeBank(const uint32_t* bitmaps, size_t count,
+                   std::vector<uint64_t>* words) {
+  const size_t total = count * 32;
+  words->assign((total + 63) / 64, 0);
+  for (size_t j = 0; j < count; ++j) {
+    uint32_t bm = bitmaps[j];
+    while (bm != 0) {
+      int pos = std::countr_zero(bm);
+      bm &= bm - 1;
+      size_t idx = static_cast<size_t>(pos) * count + j;
+      (*words)[idx >> 6] |= 1ULL << (idx & 63);
+    }
+  }
+}
+
+template <typename Fn>
+void ScanRuns(const std::vector<uint64_t>& words, size_t total, Fn&& fn) {
+  if (total == 0) return;
+  bool current = words[0] & 1;
+  size_t i = 0;
+  while (i < total) {
+    const size_t start = i;
+    for (;;) {
+      const size_t w = i >> 6;
+      const int off = static_cast<int>(i & 63);
+      uint64_t chunk = words[w] >> off;
+      if (!current) chunk = ~chunk;
+      const size_t match = static_cast<size_t>(std::countr_one(chunk));
+      const size_t avail = 64 - static_cast<size_t>(off);
+      if (match < avail) {
+        i += match;
+        break;
+      }
+      i += avail;
+      if (i >= total || (i >> 6) >= words.size()) break;
+    }
+    if (i > total) i = total;  // a zero run may spill into padding bits
+    fn(i - start);
+    current = !current;
+  }
+}
+
+inline size_t GammaBits(uint64_t n) {
+  int len = 63 - std::countl_zero(n);
+  return static_cast<size_t>(2 * len + 1);
+}
+
+size_t BankRleBytes(const uint32_t* bitmaps, size_t count) {
+  if (count == 0) return 0;
+  std::vector<uint64_t>& words = TransposeScratch();
+  TransposeBank(bitmaps, count, &words);
+  size_t bits = 1;
+  ScanRuns(words, count * 32,
+           [&bits](uint64_t run) { bits += GammaBits(run); });
+  return (bits + 7) / 8;
+}
+
+}  // namespace calibration
+
+// ------------------------------------------------------------------------
 // BENCH_micro.json: chrono-timed headline numbers for the perf trajectory.
 
 void WriteMicroJson(bool with_scaling, bool with_telemetry) {
@@ -478,6 +553,16 @@ void WriteMicroJson(bool with_scaling, bool with_telemetry) {
     sec = SecondsPerCall([&] { EncodeBankRle(s.bitmaps()); }, 20000);
     json.Entry()
         .Field("metric", "bank_rle_encode_ns")
+        .Field("value", sec * 1e9);
+    const std::vector<uint32_t>& bank = s.bitmaps();
+    sec = SecondsPerCall(
+        [&] {
+          benchmark::DoNotOptimize(
+              calibration::BankRleBytes(bank.data(), bank.size()));
+        },
+        20000);
+    json.Entry()
+        .Field("metric", "rle_calibration_ns")
         .Field("value", sec * 1e9);
   }
 

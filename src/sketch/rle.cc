@@ -2,6 +2,10 @@
 
 #include <bit>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "obs/telemetry.h"
 #include "util/check.h"
 
@@ -76,64 +80,76 @@ bool BitReader::TryReadGamma(uint64_t* out) {
 
 namespace {
 
-// The bank codec's hot core. The bank is transposed once into a
-// position-major bit stream (bit index pos*count + j holds bit `pos` of
-// bitmaps[j]), packed LSB-first into 64-bit words; runs are then scanned a
-// word at a time with countr_one. Transposition iterates only the *set*
-// bits of each bitmap (a populated FM bitmap has ~log2(n) of 32 set), so
-// the whole pass is far below one operation per bank bit.
-
-// Reusable transposition buffer: BankRleBytes runs once or twice per
-// simulated message, so the words must not be reallocated per call.
-std::vector<uint64_t>& TransposeScratch() {
-  thread_local std::vector<uint64_t> words;
-  return words;
-}
-
-void TransposeBank(const uint32_t* bitmaps, size_t count,
-                   std::vector<uint64_t>* words) {
-  const size_t total = count * 32;
-  words->assign((total + 63) / 64, 0);
-  for (size_t j = 0; j < count; ++j) {
-    uint32_t bm = bitmaps[j];
-    while (bm != 0) {
-      int pos = std::countr_zero(bm);
-      bm &= bm - 1;
-      size_t idx = static_cast<size_t>(pos) * count + j;
-      (*words)[idx >> 6] |= 1ULL << (idx & 63);
-    }
-  }
-}
-
-/// Calls fn(run_length) for each maximal run of equal bits in the first
-/// `total` bits of `words`, in stream order; the first run's bit value is
-/// words[0] & 1 and values alternate from there. Bits at index >= total
-/// must be zero (TransposeBank guarantees this).
+// The bank codec's hot core, column by column. Column p of the bank is bit
+// p of every bitmap, and the position-major stream is the 32 columns
+// concatenated. A populated FM bank has a shared prefix of all-ones
+// columns and a shared tail of all-zero columns; each collapses to one
+// constant run, read off the bank's AND and OR. Only the fringe columns in
+// between are gathered, 64 bitmaps to a mask, and a mask's runs are
+// visited through its transition bits -- one step per run, not per bit.
+// Calls fn(run_length) for each maximal run of equal bits in stream order;
+// the first run's bit value is bitmaps[0] & 1 and values alternate.
+// Requires count >= 1.
 template <typename Fn>
-void ScanRuns(const std::vector<uint64_t>& words, size_t total, Fn&& fn) {
-  if (total == 0) return;
-  bool current = words[0] & 1;
-  size_t i = 0;
-  while (i < total) {
-    const size_t start = i;
-    for (;;) {
-      const size_t w = i >> 6;
-      const int off = static_cast<int>(i & 63);
-      uint64_t chunk = words[w] >> off;
-      if (!current) chunk = ~chunk;
-      const size_t match = static_cast<size_t>(std::countr_one(chunk));
-      const size_t avail = 64 - static_cast<size_t>(off);
-      if (match < avail) {
-        i += match;
-        break;
-      }
-      i += avail;
-      if (i >= total || (i >> 6) >= words.size()) break;
-    }
-    if (i > total) i = total;  // a zero run may spill into padding bits
-    fn(i - start);
-    current = !current;
+void ForEachBankRun(const uint32_t* bitmaps, size_t count, Fn&& fn) {
+  uint32_t all = ~0u;
+  uint32_t any = 0;
+  for (size_t j = 0; j < count; ++j) {
+    all &= bitmaps[j];
+    any |= bitmaps[j];
   }
+  const int lo = std::countr_one(all);  // columns [0, lo) are all ones
+  const int hi = std::bit_width(any);   // columns [hi, 32) are all zeros
+
+  // The open run: its bit value and its length so far, which starts as the
+  // all-ones prefix (when lo > 0, bitmaps[0] & 1 is one of its bits).
+  uint64_t cur = bitmaps[0] & 1;
+  uint64_t len = static_cast<uint64_t>(lo) * count;
+  for (int p = lo; p < hi; ++p) {
+    for (size_t j0 = 0; j0 < count; j0 += 64) {
+      const size_t n = count - j0 < 64 ? count - j0 : 64;
+      const uint32_t* chunk = bitmaps + j0;
+      // Gather bit p of chunk[0, n) into mask bits [0, n).
+      uint64_t bits = 0;
+      size_t k = 0;
+#if defined(__SSE2__)
+      // Shift bit p into each lane's sign bit; movemask reads four lanes.
+      const __m128i shift = _mm_cvtsi32_si128(31 - p);
+      for (; k + 4 <= n; k += 4) {
+        __m128i v =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(chunk + k));
+        v = _mm_sll_epi32(v, shift);
+        bits |= static_cast<uint64_t>(_mm_movemask_ps(_mm_castsi128_ps(v)))
+                << k;
+      }
+#endif
+      for (; k < n; ++k) {
+        bits |= static_cast<uint64_t>((chunk[k] >> p) & 1) << k;
+      }
+      // Bit t of `flips` is set where stream bit t differs from bit t-1.
+      const uint64_t valid = n == 64 ? ~0ULL : (1ULL << n) - 1;
+      uint64_t flips = (bits ^ ((bits << 1) | cur)) & valid;
+      size_t start = 0;  // where the open run entered this chunk
+      while (flips != 0) {
+        const size_t t = static_cast<size_t>(std::countr_zero(flips));
+        flips &= flips - 1;
+        fn(len + (t - start));
+        len = 0;
+        start = t;
+      }
+      len += n - start;
+      cur = (bits >> (n - 1)) & 1;
+    }
+  }
+  if (hi < 32) {
+    const uint64_t zeros = static_cast<uint64_t>(32 - hi) * count;
+    if (cur != 0) {
+      fn(len);
+      len = 0;
+    }
+    len += zeros;
+  }
+  fn(len);
 }
 
 inline size_t GammaBits(uint64_t n) {
@@ -163,10 +179,9 @@ std::vector<uint8_t> EncodeBankRle(const std::vector<uint32_t>& bitmaps) {
   TD_PROFILE_SCOPE(obs::Phase::kRleEncode);
   BitWriter w;
   if (bitmaps.empty()) return w.bytes();
-  std::vector<uint64_t>& words = TransposeScratch();
-  TransposeBank(bitmaps.data(), bitmaps.size(), &words);
-  w.WriteBit(words[0] & 1);
-  ScanRuns(words, bitmaps.size() * 32, [&w](uint64_t run) { w.WriteGamma(run); });
+  w.WriteBit(bitmaps[0] & 1);
+  ForEachBankRun(bitmaps.data(), bitmaps.size(),
+                 [&w](uint64_t run) { w.WriteGamma(run); });
   return w.bytes();
 }
 
@@ -213,11 +228,9 @@ size_t BankRleBytes(const std::vector<uint32_t>& bitmaps) {
 
 size_t BankRleBytes(const uint32_t* bitmaps, size_t count) {
   if (count == 0) return 0;
-  std::vector<uint64_t>& words = TransposeScratch();
-  TransposeBank(bitmaps, count, &words);
   size_t bits = 1;
-  ScanRuns(words, count * 32,
-           [&bits](uint64_t run) { bits += GammaBits(run); });
+  ForEachBankRun(bitmaps, count,
+                 [&bits](uint64_t run) { bits += GammaBits(run); });
   return (bits + 7) / 8;
 }
 

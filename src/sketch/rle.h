@@ -10,10 +10,14 @@
 // the result, so a populated bank costs a few gamma-coded runs.
 //
 // The codec is the message-size unit of every simulated epoch, so it runs
-// word-at-a-time: the bank is transposed into a position-major
-// 64-bit-word stream once, and runs are scanned with countr_one /
-// countr_zero instead of a div/mod per bit. The size-only and encoding
-// paths share the one run-scanning core.
+// column by column: column p is bit p of every bitmap, and the transposed
+// stream is the 32 columns concatenated. The AND and OR of the bank bound
+// the fringe; the all-ones columns below it and the all-zero columns above
+// it are one run each, and only the fringe columns are gathered (64
+// bitmaps to a mask, four per SSE2 instruction on x86-64) and scanned run
+// by run through their transition bits. Nothing is materialised, the bank
+// may have any number of bitmaps, and the size-only and encoding paths
+// share the one run generator.
 #ifndef TD_SKETCH_RLE_H_
 #define TD_SKETCH_RLE_H_
 

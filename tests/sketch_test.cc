@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <vector>
 
 #include "sketch/fm_sketch.h"
@@ -283,25 +284,149 @@ TEST(RleTest, BankCodecPropertyRoundtrip) {
   }
 }
 
-TEST(RleTest, WordLevelBitMatchesBitAtATimeReference) {
-  // Golden: the fast paths must produce byte-identical encodings and
-  // identical sizes to the original bit-at-a-time implementation.
-  Rng rng(313);
-  for (int count : {1, 7, 40, 65}) {
+// Bank widths covering the four-bitmap SIMD tails and the 64-bitmap chunk
+// seams of the column kernel.
+constexpr int kKernelWidths[] = {1,  2,  3,  4,  5,  7,   31,  32,  33,
+                                 39, 40, 41, 63, 64, 65, 100, 128, 129};
+
+// Bank shapes at the column kernel's boundaries: an empty fringe at either
+// end, a fringe of one bit, a full column inside the fringe, and a fringe
+// reaching the top column.
+std::vector<std::vector<uint32_t>> KernelEdgeBanks(int count) {
+  const size_t n = static_cast<size_t>(count);
+  std::vector<std::vector<uint32_t>> banks;
+  banks.emplace_back(n, 0u);   // all zero: no column has a one
+  banks.emplace_back(n, ~0u);  // all ones: every column is full
+  std::vector<uint32_t> first_clear(n, ~0u);
+  first_clear[0] = ~1u;  // bit 0 clear in bitmap 0 only
+  banks.push_back(first_clear);
+  std::vector<uint32_t> low_bit(n, 1u);
+  low_bit[0] = 0u;  // same, on a bank that is otherwise one column
+  banks.push_back(low_bit);
+  std::vector<uint32_t> full_over_mixed(n);
+  for (size_t j = 0; j < n; ++j) full_over_mixed[j] = j % 3 ? 0xbu : 0xfu;
+  banks.push_back(full_over_mixed);  // column 3 full above mixed column 2
+  banks.emplace_back(n, 1u << 31);   // only bit 31
+  std::vector<uint32_t> one_top(n, 0u);
+  one_top[n - 1] = 1u << 31;  // a single set bit, at the very end
+  banks.push_back(one_top);
+  return banks;
+}
+
+// A bank shaped like a populated FM bank: per bitmap, a prefix of ones, a
+// few random fringe bits, zeros above. The prefix and fringe bounds are
+// drawn per bank so AND/OR land anywhere in [0, 32].
+std::vector<uint32_t> RandomFmShapedBank(int count, Rng* rng) {
+  const int prefix = static_cast<int>(rng->NextBounded(33));
+  const int fringe = static_cast<int>(rng->NextBounded(33 - prefix));
+  std::vector<uint32_t> bank;
+  for (int j = 0; j < count; ++j) {
+    const int ones = prefix == 0 ? 0 : static_cast<int>(rng->NextBounded(3)) +
+                                           prefix - 2;
+    uint32_t bm = ones <= 0 ? 0u : ones >= 32 ? ~0u : (1u << ones) - 1;
+    if (fringe > 0) {
+      const uint32_t window = fringe >= 32 ? ~0u : (1u << fringe) - 1;
+      bm |= (static_cast<uint32_t>(rng->Next()) & window) << prefix;
+    }
+    bank.push_back(bm);
+  }
+  return bank;
+}
+
+TEST(RleTest, ColumnKernelMatchesBitAtATimeReference) {
+  // Golden: the column kernel (constant prefix/tail runs, gathered fringe,
+  // transition-mask scan) must reproduce the bit-at-a-time codec's bytes
+  // and sizes exactly, at every width and at the kernel's edge cases.
+  auto expect_same = [](const std::vector<uint32_t>& bank, const char* what) {
+    EXPECT_EQ(EncodeBankRle(bank), reference::EncodeBankRle(bank))
+        << what << " count=" << bank.size();
+    EXPECT_EQ(BankRleBytes(bank), reference::BankRleBytes(bank))
+        << what << " count=" << bank.size();
+  };
+  Rng rng(4242);
+  for (int count : kKernelWidths) {
+    for (const auto& bank : KernelEdgeBanks(count)) expect_same(bank, "edge");
     for (int which = 0; which < 5; ++which) {
-      std::vector<uint32_t> bank = AdversarialBank(which, count, &rng);
-      EXPECT_EQ(EncodeBankRle(bank), reference::EncodeBankRle(bank))
-          << "count=" << count << " which=" << which;
-      EXPECT_EQ(BankRleBytes(bank), reference::BankRleBytes(bank))
-          << "count=" << count << " which=" << which;
+      expect_same(AdversarialBank(which, count, &rng), "adversarial");
     }
   }
-  // Populated FM banks, various fill levels.
-  for (uint64_t n : {1ull, 50ull, 5000ull, 200000ull}) {
-    FmSketch s(40, 17);
-    for (uint64_t k = 0; k < n; ++k) s.AddKey(k);
-    EXPECT_EQ(EncodeBankRle(s.bitmaps()), reference::EncodeBankRle(s.bitmaps()));
-    EXPECT_EQ(BankRleBytes(s.bitmaps()), reference::BankRleBytes(s.bitmaps()));
+  for (int trial = 0; trial < 10000; ++trial) {
+    const int count = kKernelWidths[trial % std::size(kKernelWidths)];
+    if (trial % 4 == 0) {
+      expect_same(AdversarialBank(3 + trial / 4 % 2, count, &rng), "random");
+    } else {
+      expect_same(RandomFmShapedBank(count, &rng), "fm-shaped");
+    }
+  }
+  for (uint64_t n : {1ull, 2ull, 5ull, 20ull, 100ull, 1000ull, 10000ull,
+                     50000ull, 200000ull}) {
+    for (int count : {1, 3, 40, 65, 129}) {
+      FmSketch s(count, 23);
+      for (uint64_t k = 0; k < n; ++k) s.AddKey(k);
+      expect_same(s.bitmaps(), "fm");
+    }
+  }
+}
+
+TEST(RleTest, DecodeSurvivesMutatedStreams) {
+  // Seeded mutation fuzz: bit flips, truncations and extensions of valid
+  // encodings. A mutated stream must decode to a checked error or to a bank
+  // of `count` bitmaps that round-trips -- never abort.
+  Rng rng(977);
+  auto check = [](const std::vector<uint8_t>& bytes, size_t count) {
+    auto decoded = DecodeBankRle(bytes, count);
+    if (!decoded.ok()) return false;
+    EXPECT_EQ(decoded.value().size(), count);
+    auto again = DecodeBankRle(EncodeBankRle(decoded.value()), count);
+    EXPECT_TRUE(again.ok());
+    if (again.ok()) EXPECT_EQ(again.value(), decoded.value());
+    return true;
+  };
+  for (int count : {1, 40, 65}) {
+    const size_t n = static_cast<size_t>(count);
+    std::vector<std::vector<uint32_t>> banks;
+    for (uint64_t keys : {0ull, 30ull, 3000ull}) {
+      FmSketch s(count, 31);
+      for (uint64_t k = 0; k < keys; ++k) s.AddKey(k);
+      banks.push_back(s.bitmaps());
+    }
+    banks.push_back(AdversarialBank(3, count, &rng));
+    for (const auto& bank : banks) {
+      const std::vector<uint8_t> valid = EncodeBankRle(bank);
+      ASSERT_TRUE(check(valid, n));
+      // Every single-bit flip.
+      for (size_t bit = 0; bit < valid.size() * 8; ++bit) {
+        std::vector<uint8_t> m = valid;
+        m[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        check(m, n);
+      }
+      // Random multi-bit flips.
+      for (int trial = 0; trial < 200; ++trial) {
+        std::vector<uint8_t> m = valid;
+        const int flips = 2 + static_cast<int>(rng.NextBounded(7));
+        for (int f = 0; f < flips; ++f) {
+          const size_t bit = rng.NextBounded(m.size() * 8);
+          m[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        }
+        check(m, n);
+      }
+      // Every strict prefix cuts the last run's code: always an error.
+      for (size_t len = 0; len < valid.size(); ++len) {
+        std::vector<uint8_t> m(valid.begin(), valid.begin() + len);
+        EXPECT_FALSE(check(m, n)) << "count=" << count << " prefix=" << len;
+      }
+      // Appended bytes follow a complete stream and must be ignored.
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<uint8_t> m = valid;
+        const int extra = 1 + static_cast<int>(rng.NextBounded(16));
+        for (int b = 0; b < extra; ++b) {
+          m.push_back(static_cast<uint8_t>(rng.Next()));
+        }
+        auto decoded = DecodeBankRle(m, n);
+        ASSERT_TRUE(decoded.ok());
+        EXPECT_EQ(decoded.value(), bank);
+      }
+    }
   }
 }
 
