@@ -155,9 +155,10 @@ class Engine {
   virtual uint64_t nodes_reprocessed() const = 0;
 
   /// Notification that the scenario's tree and rings were repaired in
-  /// place (dynamic scenarios, after churn). Engines drop their cached
-  /// schedules and CSR adjacency; adaptive engines also re-derive their
-  /// cached tree state and resync the region.
+  /// place (dynamic scenarios, after churn). Tree engines drop their cached
+  /// children-first schedule; adaptive engines also re-derive their cached
+  /// tree state and resync the region. No engine caches ring adjacency:
+  /// the rebuilt Rings carries its own upstream CSR.
   virtual void OnTopologyChanged() {}
 
   /// The captured root state of the last RunEpoch, when
@@ -218,9 +219,10 @@ EpochResult ToEpochResult(uint32_t epoch, const Outcome& o) {
 }
 
 // The engine wrappers. Each enables root capture at construction when
-// EngineOptions::capture_root_state asks for it, reports the epoch-delta
-// cache through nodes_reprocessed(), and drops its cached CSR/topological
-// schedules in OnTopologyChanged (Tributary-Delta also resyncs its region).
+// EngineOptions::capture_root_state asks for it and reports the epoch-delta
+// cache through nodes_reprocessed(). The tree engines forward
+// OnTopologyChanged (TAG drops its children-first schedule, Tributary-Delta
+// resyncs its region); synopsis diffusion caches nothing topological.
 
 template <Aggregate A>
 class SoaTreeEngine final : public Engine {
@@ -279,7 +281,6 @@ class SoaMultipathEngine final : public Engine {
   uint64_t nodes_reprocessed() const override {
     return inner_.nodes_reprocessed();
   }
-  void OnTopologyChanged() override { inner_.OnTopologyChanged(); }
   RootState root_state() const override {
     return RootState{nullptr, inner_.root_synopsis()};
   }

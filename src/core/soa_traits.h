@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "agg/aggregate.h"
-#include "core/soa_layout.h"
 #include "sketch/fm_sketch.h"
 #include "util/node_set.h"
 
@@ -45,7 +44,7 @@ template <typename State>
 struct SelfStateCache {
   std::vector<State> state;
   std::vector<uint64_t> key;
-  BitVec valid;
+  NodeSet valid;
 
   void Reset(size_t n, const State& empty) {
     state.assign(n, empty);

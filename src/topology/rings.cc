@@ -46,6 +46,26 @@ Rings Rings::Build(const Connectivity& connectivity, NodeId base,
       r.by_level_[static_cast<size_t>(r.level_[id])].push_back(id);
     }
   }
+
+  // Upstream CSR in two passes (count, then fill), so the edge array is
+  // sized exactly: every Scenario copy carries it.
+  const size_t n = connectivity.num_nodes();
+  auto upstream = [&r](NodeId v, NodeId w) {
+    return r.level_[v] > 0 && r.level_[w] == r.level_[v] - 1;
+  };
+  r.up_begin_.assign(n + 1, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    uint32_t count = 0;
+    for (NodeId w : connectivity.Neighbors(v)) count += upstream(v, w);
+    r.up_begin_[v + 1] = r.up_begin_[v] + count;
+  }
+  r.up_target_.resize(r.up_begin_[n]);
+  for (NodeId v = 0; v < n; ++v) {
+    uint32_t e = r.up_begin_[v];
+    for (NodeId w : connectivity.Neighbors(v)) {
+      if (upstream(v, w)) r.up_target_[e++] = w;
+    }
+  }
   return r;
 }
 
@@ -60,15 +80,12 @@ const std::vector<NodeId>& Rings::NodesAtLevel(int level) const {
   return by_level_[static_cast<size_t>(level)];
 }
 
-std::vector<NodeId> Rings::UpstreamNeighbors(const Connectivity& connectivity,
-                                             NodeId id) const {
-  std::vector<NodeId> up;
-  int lv = level(id);
-  if (lv <= 0) return up;
-  for (NodeId w : connectivity.Neighbors(id)) {
-    if (level_[w] == lv - 1) up.push_back(w);
-  }
-  return up;
+std::span<const NodeId> Rings::UpstreamNeighbors(
+    const Connectivity& connectivity, NodeId id) const {
+  TD_CHECK_EQ(connectivity.num_nodes(), num_nodes());
+  TD_CHECK_LT(id, num_nodes());
+  return {up_target_.data() + up_begin_[id],
+          up_target_.data() + up_begin_[id + 1]};
 }
 
 size_t Rings::num_reachable() const {

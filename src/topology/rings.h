@@ -4,10 +4,17 @@
 // it is in ring 1. Nodes in ring i transmit; any node hearing one of them
 // that is not yet in a ring is in ring i+1. This is exactly BFS level order
 // over the connectivity graph, which is how we compute it.
+//
+// Build also records, once, each node's upstream adjacency (the neighbors
+// one ring closer) in CSR form. The tree builders read it as spans, and the
+// SoA engines index their per-edge delivered bits by its dense edge ids, so
+// no caller re-derives it from the connectivity graph.
 #ifndef TD_TOPOLOGY_RINGS_H_
 #define TD_TOPOLOGY_RINGS_H_
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "net/connectivity.h"
@@ -53,12 +60,22 @@ class Rings {
   /// Nodes in ring `level` (level 0 = {base}).
   const std::vector<NodeId>& NodesAtLevel(int level) const;
 
-  /// Neighbors of `id` exactly one ring closer to the base station: the
-  /// candidate receivers of its multi-path broadcast, and the candidate
-  /// tree parents under the Section 4.1 synchronization constraint
-  /// ("tree links should be a subset of the links in the ring").
-  std::vector<NodeId> UpstreamNeighbors(const Connectivity& connectivity,
-                                        NodeId id) const;
+  /// Neighbors of `id` exactly one ring closer to the base station, in
+  /// ascending id order: the candidate receivers of its multi-path
+  /// broadcast, and the candidate tree parents under the Section 4.1
+  /// synchronization constraint ("tree links should be a subset of the
+  /// links in the ring"). Empty for the base and unreachable nodes. A view
+  /// of the CSR Build recorded; `connectivity` must be the graph the rings
+  /// were built over.
+  std::span<const NodeId> UpstreamNeighbors(const Connectivity& connectivity,
+                                            NodeId id) const;
+
+  /// The same adjacency as dense edge ids: node v's upstream edges are
+  /// [UpstreamBegin(v), UpstreamBegin(v + 1)), so UpstreamBegin partitions
+  /// [0, num_upstream_edges()); valid for v in [0, num_nodes()].
+  uint32_t UpstreamBegin(NodeId v) const { return up_begin_[v]; }
+  NodeId UpstreamTarget(uint32_t e) const { return up_target_[e]; }
+  size_t num_upstream_edges() const { return up_target_.size(); }
 
   /// Count of reachable nodes (level >= 0), including the base.
   size_t num_reachable() const;
@@ -70,6 +87,8 @@ class Rings {
   int max_level_ = 0;
   std::vector<int> level_;
   std::vector<std::vector<NodeId>> by_level_;
+  std::vector<uint32_t> up_begin_;  // size num_nodes() + 1
+  std::vector<NodeId> up_target_;   // exactly num_upstream_edges()
 };
 
 }  // namespace td

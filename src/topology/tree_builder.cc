@@ -18,7 +18,7 @@ Tree BuildStrictLevelTree(const Connectivity& connectivity, const Rings& rings,
   Tree tree(connectivity.num_nodes(), rings.base());
   for (int level = 1; level <= rings.max_level(); ++level) {
     for (NodeId v : rings.NodesAtLevel(level)) {
-      std::vector<NodeId> up = rings.UpstreamNeighbors(connectivity, v);
+      const auto up = rings.UpstreamNeighbors(connectivity, v);
       // BFS levels guarantee at least one upstream neighbor.
       TD_CHECK(!up.empty());
       NodeId p = up[rng->NextBounded(up.size())];
@@ -35,7 +35,7 @@ Tree BuildTagTree(const Connectivity& connectivity, const Rings& rings,
   Tree tree(connectivity.num_nodes(), rings.base());
   for (int level = 1; level <= rings.max_level(); ++level) {
     for (NodeId v : rings.NodesAtLevel(level)) {
-      std::vector<NodeId> up = rings.UpstreamNeighbors(connectivity, v);
+      const auto up = rings.UpstreamNeighbors(connectivity, v);
       TD_CHECK(!up.empty());
       // Optionally pick a same-level neighbor instead. Restricting the
       // choice to neighbors with a smaller id that are already attached
@@ -154,7 +154,7 @@ Tree BuildEtxTree(const Connectivity& connectivity, const Rings& rings,
   Tree tree(connectivity.num_nodes(), rings.base());
   for (int level = 1; level <= rings.max_level(); ++level) {
     for (NodeId v : rings.NodesAtLevel(level)) {
-      std::vector<NodeId> up = rings.UpstreamNeighbors(connectivity, v);
+      const auto up = rings.UpstreamNeighbors(connectivity, v);
       // BFS levels guarantee at least one upstream neighbor.
       TD_CHECK(!up.empty());
       NodeId best = up.front();

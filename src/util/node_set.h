@@ -47,6 +47,13 @@ class NodeSet {
     for (auto& w : words_) w = 0;
   }
 
+  /// Re-sizes to `n` elements, all absent, reusing the allocation when it
+  /// is large enough (per-epoch delivered bits, delta-cache valid bits).
+  void Reset(size_t n) {
+    n_ = n;
+    words_.assign((n + 63) / 64, 0);
+  }
+
   bool Empty() const {
     for (uint64_t w : words_) {
       if (w) return false;

@@ -3,6 +3,9 @@
 // worked example and Lemma 2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "net/connectivity.h"
 #include "net/deployment.h"
 #include "topology/domination.h"
@@ -49,13 +52,51 @@ TEST(RingsTest, LevelsAreBfsDistances) {
   }
 }
 
+// Pins the upstream CSR Build records: each node's list is the ascending
+// level-(L-1) filter of Neighbors(v), empty for the base and unreachable
+// nodes, and UpstreamBegin partitions [0, num_upstream_edges()) with the
+// span and the edge ids naming the same targets.
+void ExpectUpstreamCsr(const Rings& r, const Connectivity& c) {
+  const NodeId n = static_cast<NodeId>(r.num_nodes());
+  EXPECT_EQ(r.UpstreamBegin(0), 0u);
+  EXPECT_EQ(r.UpstreamBegin(n), r.num_upstream_edges());
+  for (NodeId v = 0; v < n; ++v) {
+    std::vector<NodeId> want;
+    const int lv = r.level(v);
+    if (lv > 0) {
+      for (NodeId w : c.Neighbors(v)) {
+        if (r.level(w) == lv - 1) want.push_back(w);
+      }
+      EXPECT_FALSE(want.empty()) << "reachable node must have upstream";
+    }
+    auto up = r.UpstreamNeighbors(c, v);
+    EXPECT_EQ(std::vector<NodeId>(up.begin(), up.end()), want) << "node " << v;
+    EXPECT_TRUE(std::is_sorted(up.begin(), up.end()));
+    ASSERT_LE(r.UpstreamBegin(v), r.UpstreamBegin(v + 1));
+    ASSERT_EQ(r.UpstreamBegin(v + 1) - r.UpstreamBegin(v), up.size());
+    for (uint32_t e = r.UpstreamBegin(v); e < r.UpstreamBegin(v + 1); ++e) {
+      EXPECT_EQ(r.UpstreamTarget(e), up[e - r.UpstreamBegin(v)]);
+    }
+  }
+}
+
 TEST(RingsTest, UpstreamNeighborsAreOneLevelCloser) {
   Scenario s = MakeSyntheticScenario(2, 200);
-  for (NodeId v = 0; v < s.deployment.size(); ++v) {
-    if (s.rings.level(v) <= 0) continue;
-    auto up = s.rings.UpstreamNeighbors(s.connectivity, v);
-    EXPECT_FALSE(up.empty()) << "reachable node must have upstream";
-    for (NodeId w : up) EXPECT_EQ(s.rings.level(w), s.rings.level(v) - 1);
+  const size_t n = s.deployment.size();
+  {
+    SCOPED_TRACE("plain");
+    ExpectUpstreamCsr(s.rings, s.connectivity);
+  }
+
+  // Active mask: every 7th sensor down, so some survivors lose their only
+  // relays and come out unreachable.
+  std::vector<bool> active(n, true);
+  for (NodeId v = 1; v < n; v += 7) active[v] = false;
+  Rings masked = Rings::Build(s.connectivity, s.base(), active);
+  EXPECT_LT(masked.num_reachable(), s.rings.num_reachable());
+  {
+    SCOPED_TRACE("active mask");
+    ExpectUpstreamCsr(masked, s.connectivity);
   }
 }
 
