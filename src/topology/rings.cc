@@ -48,10 +48,12 @@ Rings Rings::Build(const Connectivity& connectivity, NodeId base,
   }
 
   // Upstream CSR in two passes (count, then fill), so the edge array is
-  // sized exactly: every Scenario copy carries it.
+  // sized exactly: every Scenario copy carries it. An edge v -> w needs the
+  // link the BFS would have relayed over, w -> v, to pass the filter.
   const size_t n = connectivity.num_nodes();
-  auto upstream = [&r](NodeId v, NodeId w) {
-    return r.level_[v] > 0 && r.level_[w] == r.level_[v] - 1;
+  auto upstream = [&r, &link_ok](NodeId v, NodeId w) {
+    return r.level_[v] > 0 && r.level_[w] == r.level_[v] - 1 &&
+           (!link_ok || link_ok(w, v));
   };
   r.up_begin_.assign(n + 1, 0);
   for (NodeId v = 0; v < n; ++v) {

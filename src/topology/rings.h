@@ -42,10 +42,13 @@ class Rings {
 
   /// Quality-aware rings: BFS relays only over edges `link_ok` accepts
   /// (evaluated in the propagation direction, parent -> child), so nodes
-  /// reachable solely over rejected links come out kUnreachable. Used by
+  /// reachable solely over rejected links come out kUnreachable, and the
+  /// upstream adjacency keeps edge v -> w only if link_ok(w, v). Used by
   /// the link layer to keep marginal links (below a PRR floor) out of the
-  /// ring structure -- and therefore, via the Section 4.1 subset
-  /// constraint, out of every tree. A null filter accepts every edge.
+  /// ring structure -- the multi-path broadcast receivers included -- and
+  /// therefore, via the Section 4.1 subset constraint, out of every tree
+  /// built over the rings. A reachable node keeps at least its BFS
+  /// predecessor upstream. A null filter accepts every edge.
   static Rings Build(const Connectivity& connectivity, NodeId base,
                      const std::vector<bool>& active,
                      const LinkFilter& link_ok);
@@ -61,10 +64,11 @@ class Rings {
   const std::vector<NodeId>& NodesAtLevel(int level) const;
 
   /// Neighbors of `id` exactly one ring closer to the base station, in
-  /// ascending id order: the candidate receivers of its multi-path
-  /// broadcast, and the candidate tree parents under the Section 4.1
-  /// synchronization constraint ("tree links should be a subset of the
-  /// links in the ring"). Empty for the base and unreachable nodes. A view
+  /// ascending id order, over links the Build filter accepted: the
+  /// candidate receivers of its multi-path broadcast, and the candidate
+  /// tree parents under the Section 4.1 synchronization constraint ("tree
+  /// links should be a subset of the links in the ring"). Empty for the
+  /// base and unreachable nodes. A view
   /// of the CSR Build recorded; `connectivity` must be the graph the rings
   /// were built over.
   std::span<const NodeId> UpstreamNeighbors(const Connectivity& connectivity,

@@ -197,6 +197,47 @@ TEST(RingsTest, LinkFilterReroutesBfs) {
   EXPECT_EQ(filtered.level(3), 2);
 }
 
+// A PRR floor on ring construction keeps marginal links out of the ring
+// adjacency, and so (Section 4.1 subset constraint) out of every tree built
+// over the rings: no upstream edge and no optimized- or ETX-tree parent
+// edge is below the floor. The floor is checked in the filter's direction,
+// ring-ward node -> node (the direction the rings propagate).
+TEST(RingsTest, LinkFilterKeepsMarginalLinksOutOfAdjacencyAndTrees) {
+  constexpr double kFloor = 0.5;
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    Scenario sc = MakeSyntheticScenario(seed, 600);
+    const size_t n = sc.deployment.size();
+    LinkQualityMap qm(&sc.deployment, &sc.connectivity, LinkQualityParams{},
+                      seed);
+    auto link_ok = [&qm](NodeId from, NodeId to) {
+      return qm.Prr(from, to) >= kFloor;
+    };
+    Rings rings = Rings::Build(sc.connectivity, sc.base(),
+                               std::vector<bool>(n, true), link_ok);
+    Rng rng(seed);
+    Tree optimized = BuildOptimizedTree(sc.connectivity, rings, &rng);
+    Tree etx = BuildEtxTree(sc.connectivity, rings,
+                            [&qm](NodeId child, NodeId parent) {
+                              return qm.LinkEtx(child, parent);
+                            });
+    size_t edges = 0, bad_edges = 0, bad_optimized = 0, bad_etx = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      for (NodeId w : rings.UpstreamNeighbors(sc.connectivity, v)) {
+        ++edges;
+        bad_edges += !link_ok(w, v);
+      }
+      if (rings.level(v) <= 0) continue;
+      bad_optimized += !link_ok(optimized.parent(v), v);
+      bad_etx += !link_ok(etx.parent(v), v);
+    }
+    EXPECT_GT(edges, n);
+    EXPECT_EQ(bad_edges, 0u);
+    EXPECT_EQ(bad_optimized, 0u);
+    EXPECT_EQ(bad_etx, 0u);
+  }
+}
+
 TEST(RepairTreeTest, EdgeFilterReparentsAroundRejectedLink) {
   Scenario sc = MakeLineScenario();
   const std::vector<bool> alive(4, true);

@@ -53,10 +53,12 @@ TEST(RingsTest, LevelsAreBfsDistances) {
 }
 
 // Pins the upstream CSR Build records: each node's list is the ascending
-// level-(L-1) filter of Neighbors(v), empty for the base and unreachable
-// nodes, and UpstreamBegin partitions [0, num_upstream_edges()) with the
-// span and the edge ids naming the same targets.
-void ExpectUpstreamCsr(const Rings& r, const Connectivity& c) {
+// level-(L-1) filter of Neighbors(v) (over links w -> v that `link_ok`
+// accepts, when given), empty for the base and unreachable nodes, and
+// UpstreamBegin partitions [0, num_upstream_edges()) with the span and the
+// edge ids naming the same targets.
+void ExpectUpstreamCsr(const Rings& r, const Connectivity& c,
+                       const LinkFilter& link_ok = nullptr) {
   const NodeId n = static_cast<NodeId>(r.num_nodes());
   EXPECT_EQ(r.UpstreamBegin(0), 0u);
   EXPECT_EQ(r.UpstreamBegin(n), r.num_upstream_edges());
@@ -65,7 +67,9 @@ void ExpectUpstreamCsr(const Rings& r, const Connectivity& c) {
     const int lv = r.level(v);
     if (lv > 0) {
       for (NodeId w : c.Neighbors(v)) {
-        if (r.level(w) == lv - 1) want.push_back(w);
+        if (r.level(w) == lv - 1 && (!link_ok || link_ok(w, v))) {
+          want.push_back(w);
+        }
       }
       EXPECT_FALSE(want.empty()) << "reachable node must have upstream";
     }
@@ -97,6 +101,20 @@ TEST(RingsTest, UpstreamNeighborsAreOneLevelCloser) {
   {
     SCOPED_TRACE("active mask");
     ExpectUpstreamCsr(masked, s.connectivity);
+  }
+
+  // Link filter, asymmetric on purpose: it rejects about a fifth of the
+  // directed links, so some nodes drop a level and the adjacency must
+  // check the w -> v direction.
+  const LinkFilter link_ok = [](NodeId from, NodeId to) {
+    return (2 * from + to) % 5 != 0;
+  };
+  Rings filtered =
+      Rings::Build(s.connectivity, s.base(), std::vector<bool>(n, true), link_ok);
+  EXPECT_LT(filtered.num_upstream_edges(), s.rings.num_upstream_edges());
+  {
+    SCOPED_TRACE("link filter");
+    ExpectUpstreamCsr(filtered, s.connectivity, link_ok);
   }
 }
 
