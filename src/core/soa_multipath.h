@@ -110,10 +110,12 @@ class SoaDeltaSide {
       const uint32_t* self = SelfBank(v, epoch);
       const uint32_t* in = syn_inbox_.Slot(v);
       for (size_t i = 0; i < syn_words_; ++i) out_syn_[i] = self[i] | in[i];
+      synopsis_bytes = BankRleBytes(out_syn_.data(), syn_words_);
     } else {
       Synopsis& syn = *scratch_syn_;
       MakeSelfSynopsis(v, epoch, &syn);
       aggregate_->Fuse(&syn, obj_inbox_[v]);
+      synopsis_bytes = aggregate_->SynopsisBytes(syn);
     }
     // Contrib bank: inbox copy + own-id insertion (OR commutes, so this is
     // bit-identical to FmSketch::AssignFrom + AddKey).
@@ -121,11 +123,6 @@ class SoaDeltaSide {
                 contrib_words_ * sizeof(uint32_t));
     FmSketch::AddKeyBits(v, contrib_seed_, out_contrib_.data(),
                          contrib_words_);
-    if constexpr (SoaFmSynopsis<A>) {
-      synopsis_bytes = BankRleBytes(out_syn_.data(), syn_words_);
-    } else {
-      synopsis_bytes = aggregate_->SynopsisBytes(*scratch_syn_);
-    }
     return synopsis_bytes + BankRleBytes(out_contrib_.data(), contrib_words_);
   }
 

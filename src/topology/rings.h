@@ -68,9 +68,8 @@ class Rings {
   /// candidate receivers of its multi-path broadcast, and the candidate
   /// tree parents under the Section 4.1 synchronization constraint ("tree
   /// links should be a subset of the links in the ring"). Empty for the
-  /// base and unreachable nodes. A view
-  /// of the CSR Build recorded; `connectivity` must be the graph the rings
-  /// were built over.
+  /// base and unreachable nodes. A view of the CSR Build recorded;
+  /// `connectivity` must be the graph the rings were built over.
   std::span<const NodeId> UpstreamNeighbors(const Connectivity& connectivity,
                                             NodeId id) const;
 
