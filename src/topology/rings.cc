@@ -6,6 +6,50 @@
 
 namespace td {
 
+namespace {
+
+// The upstream CSR: edge v -> w for every neighbor w one ring closer whose
+// link w -> v (the direction the rings propagate) `keep` accepts. Two
+// passes, count then fill, so the edge array is sized exactly: every
+// Scenario copy carries it. Most neighbors are rejected at random, so both
+// passes avoid a data-dependent branch when `keep` is constant: the fill
+// writes every neighbor and advances past the kept ones only; once a node
+// has all its edges, the rest of its neighbors are rejected.
+template <typename Keep>
+void BuildUpstreamCsr(const Connectivity& connectivity,
+                      const std::vector<int>& level, const Keep& keep,
+                      std::vector<uint32_t>* begin,
+                      std::vector<NodeId>* target) {
+  const size_t n = level.size();
+  auto upstream = [&](NodeId v, NodeId w, int up_level) -> uint32_t {
+    return level[w] == up_level && keep(w, v);
+  };
+  begin->assign(n + 1, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    const int up_level = level[v] - 1;
+    uint32_t count = 0;
+    if (up_level >= 0) {
+      for (NodeId w : connectivity.Neighbors(v)) {
+        count += upstream(v, w, up_level);
+      }
+    }
+    (*begin)[v + 1] = (*begin)[v] + count;
+  }
+  target->resize((*begin)[n]);
+  for (NodeId v = 0; v < n; ++v) {
+    const int up_level = level[v] - 1;
+    if (up_level < 0) continue;
+    uint32_t e = (*begin)[v];
+    const uint32_t end = (*begin)[v + 1];
+    for (NodeId w : connectivity.Neighbors(v)) {
+      if (e < end) (*target)[e] = w;
+      e += upstream(v, w, up_level);
+    }
+  }
+}
+
+}  // namespace
+
 Rings Rings::Build(const Connectivity& connectivity, NodeId base) {
   return Build(connectivity, base,
                std::vector<bool>(connectivity.num_nodes(), true));
@@ -47,26 +91,13 @@ Rings Rings::Build(const Connectivity& connectivity, NodeId base,
     }
   }
 
-  // Upstream CSR in two passes (count, then fill), so the edge array is
-  // sized exactly: every Scenario copy carries it. An edge v -> w needs the
-  // link the BFS would have relayed over, w -> v, to pass the filter.
-  const size_t n = connectivity.num_nodes();
-  auto upstream = [&r, &link_ok](NodeId v, NodeId w) {
-    return r.level_[v] > 0 && r.level_[w] == r.level_[v] - 1 &&
-           (!link_ok || link_ok(w, v));
-  };
-  r.up_begin_.assign(n + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    uint32_t count = 0;
-    for (NodeId w : connectivity.Neighbors(v)) count += upstream(v, w);
-    r.up_begin_[v + 1] = r.up_begin_[v] + count;
-  }
-  r.up_target_.resize(r.up_begin_[n]);
-  for (NodeId v = 0; v < n; ++v) {
-    uint32_t e = r.up_begin_[v];
-    for (NodeId w : connectivity.Neighbors(v)) {
-      if (upstream(v, w)) r.up_target_[e++] = w;
-    }
+  if (link_ok) {
+    BuildUpstreamCsr(connectivity, r.level_, link_ok, &r.up_begin_,
+                     &r.up_target_);
+  } else {
+    BuildUpstreamCsr(connectivity, r.level_,
+                     [](NodeId, NodeId) { return true; }, &r.up_begin_,
+                     &r.up_target_);
   }
   return r;
 }
