@@ -289,11 +289,12 @@ class SoaTributaryDeltaAggregator {
     for (int level = 1; level <= rings_->max_level(); ++level) {
       for (NodeId v : rings_->NodesAtLevel(level)) {
         if (!tree_->InTree(v)) continue;
-        bool reached;
+        bool reached = false;
         if (region_.IsT(v)) {
-          const NodeId p = tree_->parent(v);
-          reached = tree_side_.delivered(v) &&
-                    (p == base || contributors_.Test(p));
+          if (tree_side_.delivered(v)) {
+            const NodeId p = tree_->parent(v);
+            reached = p == base || contributors_.Test(p);
+          }
         } else {
           reached = delta_side_.Reaches(*rings_, v, base, contributors_);
         }

@@ -109,8 +109,8 @@ TEST(RingsTest, UpstreamNeighborsAreOneLevelCloser) {
   const LinkFilter link_ok = [](NodeId from, NodeId to) {
     return (2 * from + to) % 5 != 0;
   };
-  Rings filtered =
-      Rings::Build(s.connectivity, s.base(), std::vector<bool>(n, true), link_ok);
+  Rings filtered = Rings::Build(s.connectivity, s.base(),
+                                std::vector<bool>(n, true), link_ok);
   EXPECT_LT(filtered.num_upstream_edges(), s.rings.num_upstream_edges());
   {
     SCOPED_TRACE("link filter");
