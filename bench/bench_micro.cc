@@ -24,7 +24,6 @@
 #include "freq/summary.h"
 #include "net/network.h"
 #include "sketch/fm_sketch.h"
-#include "sketch/kmv_sketch.h"
 #include "sketch/rle.h"
 #include "workload/scenario.h"
 
@@ -115,12 +114,6 @@ void BM_FmAddValueMemoized(benchmark::State& state) {
 }
 BENCHMARK(BM_FmAddValueMemoized);
 
-void BM_KmvAddKey(benchmark::State& state) {
-  KmvSketch s(static_cast<size_t>(state.range(0)), 1);
-  uint64_t k = 0;
-  for (auto _ : state) s.AddKey(k++);
-}
-BENCHMARK(BM_KmvAddKey)->Arg(64)->Arg(1024);
 
 void BM_SummaryMergePrune(benchmark::State& state) {
   ItemCounts a, b;
@@ -260,7 +253,9 @@ BENCHMARK(BM_RunTrials)->Arg(1)->Arg(0);  // 0 = hardware_concurrency
 // diffusion over a Count query at 20% loss. Each size runs twice from a
 // fresh experiment to pin per-n determinism, and at 10k and 100k the
 // per-epoch answers and byte total must equal the recording below
-// exactly.
+// exactly. The scenario build (MakeSyntheticScenario: deployment,
+// connectivity, rings and both trees) is timed once per size and reported
+// beside the epoch.
 
 struct ScalingRun {
   double epoch_ms = 0.0;
@@ -320,7 +315,13 @@ void AppendScalingJson(bench::BenchJson* json) {
     // Constant density: scale the paper's 600-in-20x20 field with n.
     const double width =
         20.0 * std::sqrt(static_cast<double>(spec.n) / 600.0);
+    const auto build_start = std::chrono::steady_clock::now();
     Scenario sc = MakeSyntheticScenario(7, spec.n, width, width, 3.0);
+    const std::chrono::duration<double, std::milli> build_ms =
+        std::chrono::steady_clock::now() - build_start;
+    json->Entry()
+        .Field("metric", std::string("scaling_build_ms_") + spec.tag)
+        .Field("value", build_ms.count());
 
     ScalingRun soa = RunScalingOnce(sc, spec.epochs);
     ScalingRun soa2 = RunScalingOnce(sc, spec.epochs);
@@ -333,8 +334,9 @@ void AppendScalingJson(bench::BenchJson* json) {
         .Field("metric",
                std::string("scaling_soa_deterministic_") + spec.tag)
         .Field("value", deterministic ? 1.0 : 0.0);
-    std::printf("  n=%-5s %10.2f ms/epoch  deterministic=%d", spec.tag,
-                soa.epoch_ms, deterministic ? 1 : 0);
+    std::printf("  n=%-5s %10.1f ms build %10.2f ms/epoch  deterministic=%d",
+                spec.tag, build_ms.count(), soa.epoch_ms,
+                deterministic ? 1 : 0);
 
     if (spec.recorded) {
       const bool match = soa.values == spec.recorded->values &&

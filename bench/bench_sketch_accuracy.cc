@@ -1,7 +1,6 @@
 // Ablation: duplicate-insensitive sketch accuracy and message size.
 // Quantifies Table 1's "message size" and "approximation error" columns:
-// FM banks (the paper's experimental operator [7]) across bitmap counts,
-// and the accuracy-preserving KMV operator (Definition 1 / [3]) across k.
+// FM banks (the paper's experimental operator [7]) across bitmap counts.
 // Validates the ~12% approximation error the paper quotes for 40 bitmaps
 // and the 48-byte TinyDB packing.
 #include <cmath>
@@ -9,7 +8,6 @@
 #include <iostream>
 
 #include "sketch/fm_sketch.h"
-#include "sketch/kmv_sketch.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -41,30 +39,9 @@ int main() {
   }
   fm.PrintAligned(std::cout);
 
-  std::printf("\nKMV (accuracy-preserving operator, Definition 1): accuracy "
-              "vs k (n = %llu)\n\n",
-              static_cast<unsigned long long>(kN));
-  Table kmv({"k", "mean_rel_err", "rel_sd", "theory_sd", "bytes"});
-  for (size_t k : {64, 256, 1024, 4096}) {
-    RunningStat err;
-    size_t bytes = 0;
-    for (int trial = 0; trial < 20; ++trial) {
-      KmvSketch s(k, 2000 + trial);
-      for (uint64_t i = 0; i < kN; ++i) s.AddKey(i);
-      err.Add((s.Estimate() - static_cast<double>(kN)) / kN);
-      bytes = s.EncodedBytes();
-    }
-    kmv.AddRow({Table::Int((long long)k), Table::Num(err.mean(), 4),
-                Table::Num(err.stddev(), 4),
-                Table::Num(1.0 / std::sqrt(static_cast<double>(k - 2)), 4),
-                Table::Int((long long)bytes)});
-  }
-  kmv.PrintAligned(std::cout);
-
   std::printf(
       "\nReading: the 40-bitmap bank used throughout the evaluation has "
       "~12%% error and fits\none 48-byte TinyDB message (Table 1's "
-      "multi-path 'small message, small approximation\nerror' cell); KMV "
-      "trades bytes for guarantees (Theorem 1's operator).\n");
+      "multi-path 'small message, small approximation\nerror' cell).\n");
   return 0;
 }

@@ -4,9 +4,8 @@
 // but no duplicate-insensitive *subtraction* with small synopses exists.
 // This algorithm avoids subtraction entirely:
 //
-//  * per-item counts are kept in duplicate-insensitive sum sketches (FM by
-//    default, matching the paper's experiments; Theorem 1's accuracy-
-//    preserving operator corresponds to the KMV sketch, see kmv_sketch.h);
+//  * per-item counts are kept in duplicate-insensitive sum sketches (FM, as
+//    in the paper's experiments [7]);
 //  * instead of subtract-and-drop, an item is dropped when its estimate
 //    falls below a *rising threshold* eps * n~ / log N (with slack eta > 1
 //    to absorb the sketch's relative error);

@@ -15,7 +15,13 @@ double HeightHistogram::CumulativeFraction(int i) const {
 }
 
 HeightHistogram ComputeHeightHistogram(const Tree& tree, bool exclude_root) {
-  std::vector<int> heights = tree.ComputeHeights();
+  return HistogramFromHeights(tree, tree.ComputeHeights(), exclude_root);
+}
+
+HeightHistogram HistogramFromHeights(const Tree& tree,
+                                     const std::vector<int>& heights,
+                                     bool exclude_root) {
+  TD_CHECK_EQ(heights.size(), tree.num_nodes());
   HeightHistogram hist;
   int max_h = 0;
   for (NodeId id = 0; id < tree.num_nodes(); ++id) {

@@ -40,6 +40,12 @@ struct HeightHistogram {
 HeightHistogram ComputeHeightHistogram(const Tree& tree,
                                        bool exclude_root = true);
 
+/// The same histogram from heights already computed for `tree` (one entry
+/// per node, as Tree::ComputeHeights returns them).
+HeightHistogram HistogramFromHeights(const Tree& tree,
+                                     const std::vector<int>& heights,
+                                     bool exclude_root = true);
+
 /// Builds a histogram directly from per-height counts h(1), h(2), ...
 /// (for worked examples like Table 2).
 HeightHistogram HistogramFromCounts(const std::vector<size_t>& h);

@@ -1,6 +1,6 @@
 #include "topology/rings.h"
 
-#include <deque>
+#include <algorithm>
 
 #include "util/check.h"
 
@@ -70,10 +70,11 @@ Rings Rings::Build(const Connectivity& connectivity, NodeId base,
   r.base_ = base;
   r.level_.assign(connectivity.num_nodes(), kUnreachable);
   r.level_[base] = 0;
-  std::deque<NodeId> queue{base};
-  while (!queue.empty()) {
-    NodeId v = queue.front();
-    queue.pop_front();
+  // BFS with the visit order itself as the queue.
+  std::vector<NodeId> queue{base};
+  queue.reserve(connectivity.num_nodes());
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
     for (NodeId w : connectivity.Neighbors(v)) {
       if (r.level_[w] == kUnreachable && active[w] &&
           (!link_ok || link_ok(v, w))) {

@@ -18,10 +18,14 @@ void Tree::SetParent(NodeId child, NodeId parent) {
   TD_CHECK_LT(parent, parent_.size());
   TD_CHECK_NE(child, parent);
   TD_CHECK_NE(child, root_);
-  // Cycle guard: walk up from `parent`; `child` must not be an ancestor.
-  for (NodeId v = parent; v != kNoParent; v = parent_[v]) {
-    TD_CHECK(v != child);
-    if (v == root_) break;
+  // Cycle guard: `child` must not be an ancestor of `parent`. A childless
+  // node is nobody's ancestor, so only a node with children pays the walk
+  // up from `parent`; builders attaching top-down never do.
+  if (!children_[child].empty()) {
+    for (NodeId v = parent; v != kNoParent; v = parent_[v]) {
+      TD_CHECK(v != child);
+      if (v == root_) break;
+    }
   }
   NodeId old = parent_[child];
   if (old == parent) return;

@@ -1,6 +1,12 @@
 // Aggregation tree: parent pointers toward the base station (the root),
 // with height/depth/subtree computations used by the frequent-items
 // precision gradients and by Tributary-Delta adaptation.
+//
+// SetParent is the one way to add or move an edge, and it refuses cycles.
+// The guard walks up from the new parent only when the child has children
+// of its own: a childless node cannot be an ancestor of anything. Builders
+// that attach top-down (parents before children) therefore never walk; a
+// walk costs O(depth) and is paid only when a subtree moves.
 #ifndef TD_TOPOLOGY_TREE_H_
 #define TD_TOPOLOGY_TREE_H_
 
@@ -22,8 +28,9 @@ class Tree {
   NodeId root() const { return root_; }
   size_t num_nodes() const { return parent_.size(); }
 
-  /// Attaches `child` under `parent` (re-attaches if already in the tree).
-  /// Fails a check if the edge would create a cycle.
+  /// Attaches `child` under `parent` (re-attaches if already in the tree),
+  /// appending it to `parent`'s children. Fails a check if the edge would
+  /// create a cycle, i.e. if `child` is `parent` or one of its ancestors.
   void SetParent(NodeId child, NodeId parent);
 
   /// Detaches `child` (and implicitly its whole subtree) from the tree.

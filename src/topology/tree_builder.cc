@@ -1,7 +1,7 @@
 #include "topology/tree_builder.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 #include "topology/domination.h"
 #include "util/check.h"
@@ -26,6 +26,39 @@ Tree BuildStrictLevelTree(const Connectivity& connectivity, const Rings& rings,
     }
   }
   return tree;
+}
+
+// Heights (as Tree::ComputeHeights) of a tree whose every edge goes one ring
+// up, by one reverse ring-level sweep over parent pointers: a node's
+// children all sit in the next ring out, so its height is final before its
+// own ring is reached. No depth-first traversal is needed.
+void LevelSweepHeights(const Tree& tree, const Rings& rings,
+                       std::vector<int>* height) {
+  height->assign(tree.num_nodes(), 0);
+  for (int level = rings.max_level(); level >= 1; --level) {
+    for (NodeId v : rings.NodesAtLevel(level)) {
+      const int h = std::max((*height)[v], 1);
+      (*height)[v] = h;
+      int& up = (*height)[tree.parent(v)];
+      up = std::max(up, h + 1);
+    }
+  }
+  int& root = (*height)[rings.base()];
+  root = std::max(root, 1);
+}
+
+// The (child, parent) edges of such a tree top-down, a ring at a time and
+// each parent's children in stored order. Replaying them through SetParent
+// into an empty tree rebuilds it exactly, child order included, and every
+// attach is of a still childless node, so the cycle guard never walks.
+void RecordEdges(const Tree& tree, const Rings& rings,
+                 std::vector<std::pair<NodeId, NodeId>>* edges) {
+  edges->clear();
+  for (int level = 0; level < rings.max_level(); ++level) {
+    for (NodeId p : rings.NodesAtLevel(level)) {
+      for (NodeId c : tree.children(p)) edges->emplace_back(c, p);
+    }
+  }
 }
 
 }  // namespace
@@ -68,35 +101,53 @@ Tree BuildOptimizedTree(const Connectivity& connectivity, const Rings& rings,
   std::vector<bool> pinned(n, false);
   std::vector<bool> flagged(n, false);
 
-  Tree best = tree;
-  double best_d = DominationFactor(ComputeHeightHistogram(best));
+  std::vector<int> height;
+  LevelSweepHeights(tree, rings, &height);
+  double d = 0.0;
+  double best_d = 0.0;
+  std::vector<std::pair<NodeId, NodeId>> best_edges;
+  if (options.keep_best_round) {
+    d = best_d = DominationFactor(HistogramFromHeights(tree, height));
+    RecordEdges(tree, rings, &best_edges);
+  }
 
+  // Per-height child counts for the pinning pass, cleared after each node.
+  std::vector<uint32_t> same_height(static_cast<size_t>(rings.max_level()) + 2,
+                                    0);
+  std::vector<NodeId> candidates;
   for (int round = 0; round < options.switching_rounds; ++round) {
-    std::vector<int> height = tree.ComputeHeights();
-
     // Pinning pass: a non-flagged node with two or more children of equal
     // height pins two of them and flags itself (Lemma 2 with d = 2). We
     // prefer the highest such height so the locked-in structure reaches as
     // far down the tree as possible, and prefer already-flagged children
-    // (the "two flagged children" rule of the search loop).
+    // (the "two flagged children" rule of the search loop), otherwise the
+    // first in child order.
     bool new_flags = false;
     for (NodeId x = 0; x < n; ++x) {
       if (flagged[x] || !tree.InTree(x)) continue;
-      std::map<int, std::vector<NodeId>> by_height;
-      for (NodeId c : tree.children(x)) by_height[height[c]].push_back(c);
-      for (auto it = by_height.rbegin(); it != by_height.rend(); ++it) {
-        auto& group = it->second;
-        if (group.size() < 2) continue;
-        std::stable_sort(group.begin(), group.end(),
-                         [&](NodeId a, NodeId b) {
-                           return flagged[a] > flagged[b];
-                         });
-        pinned[group[0]] = true;
-        pinned[group[1]] = true;
-        flagged[x] = true;
-        new_flags = true;
-        break;
+      const std::vector<NodeId>& kids = tree.children(x);
+      if (kids.size() < 2) continue;
+      for (NodeId c : kids) ++same_height[static_cast<size_t>(height[c])];
+      int pair_height = 0;
+      for (NodeId c : kids) {
+        if (same_height[static_cast<size_t>(height[c])] >= 2) {
+          pair_height = std::max(pair_height, height[c]);
+        }
       }
+      for (NodeId c : kids) same_height[static_cast<size_t>(height[c])] = 0;
+      if (pair_height == 0) continue;
+      int picked = 0;
+      for (const bool flagged_first : {true, false}) {
+        for (NodeId c : kids) {
+          if (picked < 2 && height[c] == pair_height &&
+              flagged[c] == flagged_first) {
+            pinned[c] = true;
+            ++picked;
+          }
+        }
+      }
+      flagged[x] = true;
+      new_flags = true;
     }
 
     // Switching pass: non-pinned nodes move to a random reachable
@@ -106,7 +157,7 @@ Tree BuildOptimizedTree(const Connectivity& connectivity, const Rings& rings,
     for (int level = 1; level <= rings.max_level(); ++level) {
       for (NodeId v : rings.NodesAtLevel(level)) {
         if (pinned[v]) continue;
-        std::vector<NodeId> candidates;
+        candidates.clear();
         for (NodeId w : rings.UpstreamNeighbors(connectivity, v)) {
           if (!flagged[w]) candidates.push_back(w);
         }
@@ -119,21 +170,23 @@ Tree BuildOptimizedTree(const Connectivity& connectivity, const Rings& rings,
       }
     }
 
+    LevelSweepHeights(tree, rings, &height);
     if (options.keep_best_round) {
-      double d = DominationFactor(ComputeHeightHistogram(tree));
+      d = DominationFactor(HistogramFromHeights(tree, height));
       if (d > best_d) {
         best_d = d;
-        best = tree;
+        RecordEdges(tree, rings, &best_edges);
       }
     }
     if (!new_flags && !switched) break;
   }
 
-  if (!options.keep_best_round) return tree;
-  // The final tree may beat the best recorded one (the loop records before
-  // the last switching pass settles).
-  double final_d = DominationFactor(ComputeHeightHistogram(tree));
-  return final_d >= best_d ? tree : best;
+  // Keep the final tree unless an earlier round beat it; then rebuild that
+  // round's tree from its recorded edges.
+  if (!options.keep_best_round || d >= best_d) return tree;
+  Tree best(n, rings.base());
+  for (const auto& [child, parent] : best_edges) best.SetParent(child, parent);
+  return best;
 }
 
 Tree BuildTagTree(const Connectivity& connectivity, const Rings& rings,

@@ -13,6 +13,17 @@
 //                         opportunistic parent switching with pinning and
 //                         flagging that pushes the tree toward 2-domination
 //                         (Lemma 2).
+//
+// The builders attach nodes ring by ring, so each first attach is of a
+// childless node and SetParent's cycle guard does not walk: BuildTagTree,
+// BuildEtxTree and the optimizer's initial tree are linear in the network
+// size. Only the optimizer's switching pass moves whole subtrees, paying
+// an O(depth) guard walk per moved internal node. Its edges all go exactly
+// one ring up, so each round's heights come from one reverse ring-level
+// sweep over parent pointers (no depth-first traversal), and the
+// domination histogram from the same heights. It keeps the best round as
+// a flat edge list, replayed through SetParent only if the final round is
+// worse, rather than copying the tree on each improvement.
 #ifndef TD_TOPOLOGY_TREE_BUILDER_H_
 #define TD_TOPOLOGY_TREE_BUILDER_H_
 

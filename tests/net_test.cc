@@ -2,7 +2,11 @@
 // and energy accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "net/connectivity.h"
 #include "net/deployment.h"
@@ -71,6 +75,167 @@ TEST(ConnectivityTest, Disconnected) {
   Connectivity c = Connectivity::FromRadioRange(d, 1.0);
   EXPECT_FALSE(c.IsConnected(0));
   EXPECT_EQ(c.AverageDegree(), 0.0);
+}
+
+// The O(n^2) reference: every b != a with Distance(a, b) <= range, in
+// ascending id order.
+std::vector<std::vector<NodeId>> BruteForceNeighbors(const Deployment& d,
+                                                     double range) {
+  std::vector<std::vector<NodeId>> adj(d.size());
+  for (NodeId a = 0; a < d.size(); ++a) {
+    for (NodeId b = 0; b < d.size(); ++b) {
+      if (a != b && Distance(d.position(a), d.position(b)) <= range) {
+        adj[a].push_back(b);
+      }
+    }
+  }
+  return adj;
+}
+
+// Checks `c` list by list against `expected`, and that every list is
+// strictly ascending, free of self links and symmetric.
+void ExpectAdjacency(const Connectivity& c,
+                     const std::vector<std::vector<NodeId>>& expected,
+                     const std::string& label) {
+  ASSERT_EQ(c.num_nodes(), expected.size()) << label;
+  size_t degree_sum = 0;
+  for (NodeId a = 0; a < c.num_nodes(); ++a) {
+    const auto nbrs = c.Neighbors(a);
+    ASSERT_EQ(std::vector<NodeId>(nbrs.begin(), nbrs.end()), expected[a])
+        << label << ", node " << a;
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      EXPECT_NE(nbrs[i], a) << label;
+      if (i > 0) EXPECT_LT(nbrs[i - 1], nbrs[i]) << label;
+      EXPECT_TRUE(c.AreNeighbors(nbrs[i], a)) << label;
+    }
+    degree_sum += nbrs.size();
+  }
+  EXPECT_EQ(c.num_links() * 2, degree_sum) << label;
+}
+
+void ExpectMatchesBruteForce(const std::vector<Point>& points, double range,
+                             const std::string& label) {
+  Deployment d(points);
+  ExpectAdjacency(Connectivity::FromRadioRange(d, range),
+                  BruteForceNeighbors(d, range), label);
+}
+
+TEST(ConnectivityTest, CsrMatchesBruteForce) {
+  Rng rng(2024);
+  auto uniform = [&rng](double lo, double hi) {
+    return lo + (hi - lo) * rng.NextDouble();
+  };
+
+  // Random fields of 2 to 5,000 nodes at the paper's density (1.5 per
+  // square unit), plus sparser and denser ones.
+  const std::pair<size_t, double> fields[] = {
+      {2, 1.5},    {3, 0.05},  {17, 1.5},    {250, 0.05},  {250, 1.5},
+      {250, 20.0}, {1000, 0.05}, {1000, 1.5}, {1000, 20.0}, {5000, 1.5}};
+  for (const auto& [n, per_area] : fields) {
+    const double side = std::sqrt(static_cast<double>(n) / per_area);
+    std::vector<Point> p;
+    for (size_t i = 0; i < n; ++i) {
+      p.push_back({uniform(0.0, side), uniform(0.0, side)});
+    }
+    ExpectMatchesBruteForce(p, 3.0,
+                            "random n=" + std::to_string(n) +
+                                " density=" + std::to_string(per_area));
+  }
+
+  // A lattice with spacing exactly `range`: axis neighbors sit at distance
+  // exactly range (or a rounding step either side of it).
+  for (double range : {3.0, 0.1, 0.7}) {
+    std::vector<Point> p;
+    for (int i = 0; i < 30; ++i) {
+      for (int j = 0; j < 30; ++j) p.push_back({i * range, j * range});
+    }
+    ExpectMatchesBruteForce(p, range, "lattice range=" + std::to_string(range));
+  }
+
+  // Pairs whose squared distance sits a few rounding steps above range^2:
+  // there the square root can still round down to range, so only
+  // Distance itself decides the link correctly.
+  for (double range : {0.7, 1.3, 2.5, 3.0}) {
+    const double r2 = range * range;
+    const double step = std::nextafter(r2, 2 * r2) - r2;
+    for (int k = 0; k < 8; ++k) {
+      const double dy = std::sqrt(k * step);
+      ExpectMatchesBruteForce({{0.0, 0.0}, {range, dy}, {-range, -dy}}, range,
+                              "band range=" + std::to_string(range) +
+                                  " k=" + std::to_string(k));
+    }
+  }
+
+  // Points on and a rounding step either side of the multiples of the range,
+  // where range-sized cells have their edges.
+  {
+    const double range = 0.3;
+    std::vector<Point> p;
+    for (int k = 0; k < 25; ++k) {
+      const double x = k * range;
+      for (double xx : {x, std::nextafter(x, -1e9), std::nextafter(x, 1e9)}) {
+        p.push_back({xx, range * static_cast<double>(rng.NextBounded(6))});
+        p.push_back({xx, uniform(0.0, 6 * range)});
+      }
+    }
+    ExpectMatchesBruteForce(p, range, "cell edges");
+  }
+
+  // Pairs within range that cells exactly `range` wide, measured from the
+  // field's minimum (-0.1 here), would put two cells apart: rounding in
+  // (x - min) / range pushes the right node across a second cell edge.
+  {
+    const double pairs[][3] = {{0.1, 0.19999999999999998, 0.3},
+                               {0.3, 7.699999999999999, 7.999999999999999},
+                               {0.7, 1.9999999999999998, 2.6999999999999997},
+                               {3.0, 254.89999999999998, 257.9}};
+    for (const auto& [range, xa, xb] : pairs) {
+      ExpectMatchesBruteForce({{-0.1, 0.0}, {xa, 0.0}, {xb, 0.0}}, range,
+                              "cell rounding range=" + std::to_string(range));
+    }
+  }
+
+  // A field offset to negative coordinates.
+  {
+    std::vector<Point> p;
+    for (int i = 0; i < 2000; ++i) {
+      p.push_back({uniform(-1000.5, -960.5), uniform(-777.25, -737.25)});
+    }
+    ExpectMatchesBruteForce(p, 3.0, "negative offset");
+  }
+
+  // All nodes in one cell (a complete graph), and all on one point.
+  {
+    std::vector<Point> p, same;
+    for (int i = 0; i < 300; ++i) {
+      p.push_back({uniform(5.0, 5.5), uniform(-2.0, -1.5)});
+      same.push_back({4.25, 4.25});
+    }
+    ExpectMatchesBruteForce(p, 3.0, "one cell");
+    ExpectMatchesBruteForce(same, 3.0, "one point");
+  }
+
+  // FromLinks: duplicate and reversed links collapse into one.
+  {
+    const size_t n = 200;
+    std::vector<std::pair<NodeId, NodeId>> links;
+    std::vector<std::vector<NodeId>> expected(n);
+    for (int i = 0; i < 1500; ++i) {
+      const NodeId a = static_cast<NodeId>(rng.NextBounded(n));
+      const NodeId b = static_cast<NodeId>(rng.NextBounded(n));
+      if (a == b) continue;
+      links.emplace_back(a, b);
+      if (i % 3 == 0) links.emplace_back(b, a);
+      if (i % 5 == 0) links.emplace_back(a, b);
+      expected[a].push_back(b);
+      expected[b].push_back(a);
+    }
+    for (auto& list : expected) {
+      std::sort(list.begin(), list.end());
+      list.erase(std::unique(list.begin(), list.end()), list.end());
+    }
+    ExpectAdjacency(Connectivity::FromLinks(n, links), expected, "links");
+  }
 }
 
 // ------------------------------------------------------------ LossModels --

@@ -19,7 +19,6 @@
 #include "freq/precision_gradient.h"
 #include "freq/summary.h"
 #include "sketch/fm_sketch.h"
-#include "sketch/kmv_sketch.h"
 #include "sketch/rle.h"
 #include "sketch/sample_synopsis.h"
 #include "td/region_state.h"
@@ -89,30 +88,6 @@ TEST_P(FmGeometryTest, BankCodecLossless) {
                                static_cast<size_t>(bitmaps));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value(), s.bitmaps());
-}
-
-class KmvGeometryTest : public ::testing::TestWithParam<size_t> {};
-INSTANTIATE_TEST_SUITE_P(Ks, KmvGeometryTest,
-                         ::testing::Values(8, 32, 128, 512));
-
-TEST_P(KmvGeometryTest, UnionIsSetUnionOfMinima) {
-  const size_t k = GetParam();
-  KmvSketch a(k, 3), b(k, 3), u(k, 3);
-  for (uint64_t i = 0; i < 2000; ++i) {
-    if (i % 2 == 0) a.AddKey(i);
-    if (i % 3 == 0) b.AddKey(i);
-    if (i % 2 == 0 || i % 3 == 0) u.AddKey(i);
-  }
-  KmvSketch merged = a;
-  merged.Merge(b);
-  EXPECT_EQ(merged.minima(), u.minima());
-  // Merge is idempotent and commutative.
-  KmvSketch again = merged;
-  again.Merge(merged);
-  EXPECT_EQ(again.minima(), merged.minima());
-  KmvSketch other = b;
-  other.Merge(a);
-  EXPECT_EQ(other.minima(), merged.minima());
 }
 
 class SampleCapacityTest : public ::testing::TestWithParam<size_t> {};

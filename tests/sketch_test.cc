@@ -1,6 +1,6 @@
-// Unit and property tests for src/sketch: FM sketches, KMV sketches,
-// sample synopses, and the RLE codec. The load-bearing property throughout
-// is duplicate insensitivity: merging a synopsis with itself (or re-adding
+// Unit and property tests for src/sketch: FM sketches, sample synopses,
+// and the RLE codec. The load-bearing property throughout is duplicate
+// insensitivity: merging a synopsis with itself (or re-adding
 // the same logical contribution) must not change it.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "sketch/fm_sketch.h"
-#include "sketch/kmv_sketch.h"
 #include "sketch/rle.h"
 #include "sketch/sample_synopsis.h"
 #include "util/rng.h"
@@ -569,111 +568,6 @@ TEST(RleTest, TypicalFmBankCompressesWell) {
   for (int i = 0; i < 40; ++i) random.push_back(static_cast<uint32_t>(rng.Next()));
   size_t random_bytes = BankRleBytes(random);
   EXPECT_LT(fm_bytes, random_bytes);
-}
-
-// ------------------------------------------------------------ KmvSketch --
-
-TEST(KmvSketchTest, ExactBelowK) {
-  KmvSketch s(64, 1);
-  for (uint64_t k = 0; k < 50; ++k) s.AddKey(k);
-  EXPECT_FALSE(s.Saturated());
-  EXPECT_DOUBLE_EQ(s.Estimate(), 50.0);
-}
-
-TEST(KmvSketchTest, DuplicateKeysIgnored) {
-  KmvSketch s(64, 1);
-  for (int rep = 0; rep < 5; ++rep) {
-    for (uint64_t k = 0; k < 30; ++k) s.AddKey(k);
-  }
-  EXPECT_DOUBLE_EQ(s.Estimate(), 30.0);
-}
-
-TEST(KmvSketchTest, EstimateAccuracy) {
-  const uint64_t n = 50000;
-  KmvSketch s(1024, 2);
-  for (uint64_t k = 0; k < n; ++k) s.AddKey(k);
-  EXPECT_TRUE(s.Saturated());
-  // relative error ~ 1/sqrt(k-2) ~ 3%; allow 4 sigma.
-  EXPECT_NEAR(s.Estimate(), static_cast<double>(n), 0.13 * n);
-}
-
-TEST(KmvSketchTest, MergeEqualsUnion) {
-  KmvSketch a(256, 3), b(256, 3), u(256, 3);
-  for (uint64_t k = 0; k < 3000; ++k) {
-    if (k % 2 == 0) a.AddKey(k);
-    if (k % 3 == 0) b.AddKey(k);
-    if (k % 2 == 0 || k % 3 == 0) u.AddKey(k);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.minima(), u.minima());
-}
-
-TEST(KmvSketchTest, MergeIdempotent) {
-  KmvSketch a(128, 4);
-  for (uint64_t k = 0; k < 1000; ++k) a.AddKey(k);
-  KmvSketch b = a;
-  b.Merge(a);
-  EXPECT_EQ(a.minima(), b.minima());
-}
-
-TEST(KmvSketchTest, AddCountActsAsSum) {
-  KmvSketch s(1024, 5);
-  uint64_t total = 0;
-  for (uint64_t node = 1; node <= 50; ++node) {
-    s.AddCount(node, 100 + node);
-    total += 100 + node;
-  }
-  EXPECT_NEAR(s.Estimate(), static_cast<double>(total), 0.15 * total);
-}
-
-TEST(KmvSketchTest, AddCountDuplicateInsensitive) {
-  KmvSketch a(256, 6), b(256, 6);
-  a.AddCount(7, 500);
-  b.AddCount(7, 500);
-  b.AddCount(7, 500);  // replay
-  EXPECT_EQ(a.minima(), b.minima());
-}
-
-TEST(KmvSketchTest, RangeEfficientMatchesPlain) {
-  KmvSketch a(64, 7), b(64, 7);
-  for (uint64_t node = 1; node <= 20; ++node) {
-    a.AddCount(node, 500);
-    b.AddCountRangeEfficient(node, 500);
-  }
-  EXPECT_EQ(a.minima(), b.minima());
-}
-
-TEST(KmvSketchTest, KForRelativeError) {
-  // 10% target -> k in the hundreds; must give error within target on
-  // average (accuracy-preserving operator sizing, Definition 1).
-  size_t k = KmvSketch::KForRelativeError(0.1);
-  EXPECT_GE(k, 100u);
-  double total_rel_err = 0.0;
-  const int trials = 10;
-  for (int t = 0; t < trials; ++t) {
-    KmvSketch s(k, 100 + t);
-    const uint64_t n = 20000;
-    for (uint64_t i = 0; i < n; ++i) s.AddKey(i);
-    total_rel_err += std::abs(s.Estimate() - n) / n;
-  }
-  EXPECT_LT(total_rel_err / trials, 0.1);
-}
-
-TEST(KmvSketchTest, AccuracyPreservingUnderUnion) {
-  // Definition 1: the union of two (eps,delta)-estimates is an
-  // (eps,delta)-estimate of the sum. Empirically: union error stays within
-  // the same band as single-sketch error.
-  size_t k = 512;
-  double err = 0.0;
-  const int trials = 8;
-  for (int t = 0; t < trials; ++t) {
-    KmvSketch a(k, 200 + t), b(k, 200 + t);
-    for (uint64_t i = 0; i < 10000; ++i) a.AddKey(i);
-    for (uint64_t i = 10000; i < 30000; ++i) b.AddKey(i);
-    a.Merge(b);
-    err += std::abs(a.Estimate() - 30000.0) / 30000.0;
-  }
-  EXPECT_LT(err / trials, 2.0 / std::sqrt(static_cast<double>(k)) * 3);
 }
 
 // ------------------------------------------------------ SampleSynopsis --

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "net/connectivity.h"
@@ -160,6 +161,25 @@ TEST(TreeTest, ReattachMovesChild) {
   EXPECT_EQ(t.parent(2), 1u);
   EXPECT_EQ(t.children(0).size(), 1u);
   EXPECT_EQ(t.children(1).size(), 1u);
+}
+
+TEST(TreeTest, SetParentRejectsCycles) {
+  Tree t(5, 0);
+  t.SetParent(1, 0);
+  t.SetParent(2, 1);
+  t.SetParent(3, 2);
+  // Re-parenting an ancestor under its own descendant closes a cycle.
+  EXPECT_DEATH(t.SetParent(1, 3), "v != child");
+  EXPECT_DEATH(t.SetParent(2, 3), "v != child");
+  // Leaves attach and move anywhere: a childless node is nobody's ancestor.
+  t.SetParent(4, 3);
+  t.SetParent(3, 1);
+  EXPECT_EQ(t.parent(3), 1u);
+  EXPECT_EQ(t.children(2).size(), 0u);
+  // An internal node may move, just not under its own subtree.
+  t.SetParent(2, 4);
+  EXPECT_EQ(t.parent(2), 4u);
+  EXPECT_DEATH(t.SetParent(3, 2), "v != child");
 }
 
 TEST(TreeTest, RemoveFromTree) {
@@ -359,6 +379,57 @@ TEST(TreeBuilderTest2, DominationReasonableAtPaperDensity) {
   Scenario s = MakeSyntheticScenario(21, 600);
   double d = DominationFactor(ComputeHeightHistogram(s.tree));
   EXPECT_GE(d, 1.5);
+}
+
+// FNV-1a over every node's parent and then its children in stored order, so
+// a builder change that reorders a child list shows as well as a moved edge.
+uint64_t TreeDigest(const Tree& t) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint32_t word) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (NodeId v = 0; v < t.num_nodes(); ++v) {
+    mix(t.parent(v));
+    mix(static_cast<uint32_t>(t.children(v).size()));
+    for (NodeId c : t.children(v)) mix(c);
+  }
+  return h;
+}
+
+TEST(TreeBuilderTest2, BuildersMatchRecordedDigests) {
+  // 2,000 sensors at the paper's density (1.5 per square unit). The digests
+  // were recorded from the builders before the level-sweep optimizer and
+  // the cheaper cycle guard; both were meant to change no tree.
+  struct Recorded {
+    uint64_t seed, optimized, tag, etx;
+  };
+  const Recorded recorded[] = {
+      {1, 0xa18e5964493cff4aULL, 0xa56964980b1c2f4cULL, 0xddfcc05e65cf93aaULL},
+      {2, 0xa9fccf4e5aaaac89ULL, 0x4fd966250415aeeeULL, 0x4de9f244afb2237cULL},
+      {3, 0x7a533ba90ba793bcULL, 0x80c5555c04a7ea04ULL, 0xd4b7f90616c81a7dULL},
+  };
+  const double width = 20.0 * std::sqrt(2000.0 / 600.0);
+  for (const Recorded& r : recorded) {
+    Rng dep_rng(r.seed);
+    Deployment d = MakeSyntheticDeployment(&dep_rng, 2000, width, width);
+    Connectivity c = Connectivity::FromRadioRange(d, 3.0);
+    Rings rings = Rings::Build(c, d.base());
+    Rng opt_rng(r.seed ^ 0x7ee5ULL);
+    Rng tag_rng(r.seed ^ 0x7a9ULL);
+    const uint64_t optimized =
+        TreeDigest(BuildOptimizedTree(c, rings, &opt_rng));
+    const uint64_t tag = TreeDigest(BuildTagTree(c, rings, &tag_rng));
+    const uint64_t etx = TreeDigest(BuildEtxTree(
+        c, rings, [&d](NodeId child, NodeId parent) {
+          return Distance(d.position(child), d.position(parent));
+        }));
+    EXPECT_EQ(optimized, r.optimized) << "seed " << r.seed;
+    EXPECT_EQ(tag, r.tag) << "seed " << r.seed;
+    EXPECT_EQ(etx, r.etx) << "seed " << r.seed;
+  }
 }
 
 TEST(TreeBuilderTest2, ChainHasNoSwitchingOpportunity) {

@@ -69,7 +69,8 @@ With --scaling BENCH_micro.json the tool gates the scaling curve: the
 determinism flag must be 1 (two fresh runs produced identical estimates
 and byte tallies), and the 10k/100k match flags must be 1 (the per-epoch
 estimates and byte total equal the recording bench_micro carries). The
-epoch speed itself is not gated here: the repository benchmark's sd-100k
+scenario build time per size (scaling_build_ms_*) is printed beside the
+epoch, report only. The epoch speed itself is not gated here: the repository benchmark's sd-100k
 workload times the same configuration as a same-machine A/B. The budget
 is generous; the flags are exact.
 
@@ -439,7 +440,9 @@ def check_scaling(path, max_1m_epoch_ms):
           f"exact flags")
     for tag in ("10k", "100k", "1m"):
         ms = metrics[f"scaling_soa_epoch_ms_{tag}"]
-        print(f"  n={tag:<5} {ms:>9.1f} ms/epoch")
+        build = metrics.get(f"scaling_build_ms_{tag}")
+        build_col = f"{build:>9.1f} ms build  " if build is not None else ""
+        print(f"  n={tag:<5} {build_col}{ms:>9.1f} ms/epoch")
     ms_1m = metrics["scaling_soa_epoch_ms_1m"]
     if not ms_1m > 0:
         failures.append("1M-sensor epoch time is not positive -- "
